@@ -99,7 +99,6 @@ COUNTERS: frozenset[str] = frozenset(
         # SGP solvers (repro/sgp/solver.py, condensation.py)
         "sgp_solves_total",
         "sgp_iterations_total",
-        "sgp_fallbacks_total",
         "sgp_partial_solutions_total",
         "sgp_condensation_rounds_total",
         # optimization drivers (repro/optimize/report.py)

@@ -105,7 +105,6 @@ def solve_multi_vote(
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
-    solver_method: str = "slsqp",
     max_iter: int = 300,
     normalize: bool = False,
     in_place: bool = False,
@@ -213,7 +212,7 @@ def solve_multi_vote(
             combined_objective(distance, deviation, lambda1=lambda1, lambda2=lambda2)
         )
 
-        solution = solve_sgp(encoded.problem, method=solver_method, max_iter=max_iter)
+        solution = solve_sgp(encoded.problem, max_iter=max_iter)
         report.solve_time = solution.elapsed
         report.solution = solution
         report.num_violated_deviations = step_count(

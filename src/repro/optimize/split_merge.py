@@ -114,7 +114,6 @@ def solve_split_merge(
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
-    solver_method: str = "slsqp",
     max_iter: int = 300,
     normalize: bool = False,
     in_place: bool = False,
@@ -183,7 +182,6 @@ def solve_split_merge(
             margin=margin,
             lower=lower,
             upper=upper,
-            solver_method=solver_method,
             max_iter=max_iter,
             normalize=normalize,
         )

@@ -386,7 +386,7 @@ class QASystem:
             Drop the pending votes after applying them (they are spent).
         options:
             Forwarded to the chosen driver (``lambda1``, ``sigmoid_w``,
-            ``solver_method``, ``num_workers``, ...).  Similarity
+            ``max_iter``, ``num_workers``, ...).  Similarity
             parameters default to this system's ``params``; override
             with ``params=SimilarityParams(...)`` (the bare
             ``max_length``/``restart_prob`` keywords are removed and

@@ -8,9 +8,10 @@ building blocks in Python:
 
 - :mod:`repro.sgp.terms` — signomial algebra with exact evaluation and
   analytic gradients (compiled to sparse numpy ops for the solver);
-- :mod:`repro.sgp.problem` — the problem container;
-- :mod:`repro.sgp.solver` — ``scipy.optimize`` based solvers (SLSQP and
-  trust-constr) plus a penalty-method fallback;
+- :mod:`repro.sgp.problem` — the problem container, which stacks every
+  constraint into one sparse exponent matrix for evaluation;
+- :mod:`repro.sgp.solver` — the solver: a PHR augmented-Lagrangian
+  method (method of multipliers) over L-BFGS-B box bounds;
 - :mod:`repro.sgp.condensation` — the classic iterative monomial
   condensation heuristic for signomial programs, used as an ablation
   solver.

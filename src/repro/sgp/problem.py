@@ -20,13 +20,14 @@ signomial).  Everything is compiled before handing to the solver.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.devtools.contracts import check_weight_bounds
 from repro.errors import SGPModelError
-from repro.sgp.terms import CompiledSignomial, Signomial
+from repro.sgp.terms import Signomial
 
 
 class SmoothObjective:
@@ -98,13 +99,60 @@ class Constraint:
     signomial: Signomial
     name: str = "constraint"
     margin: float = 0.0
-    compiled: "CompiledSignomial | None" = field(default=None, repr=False)
 
-    def value(self, x: np.ndarray) -> float:
-        """``f(x) + margin`` (feasible iff ≤ 0)."""
-        if self.compiled is not None:
-            return self.compiled.value(x) + self.margin
-        return self.signomial.evaluate(np.asarray(x)) + self.margin
+
+class StackedConstraints:
+    """Every constraint of a program compiled into one sparse system.
+
+    The terms of all constraints are stacked into a single CSR exponent
+    matrix ``E`` (one row per term) with ``rows[k]`` naming the
+    constraint term ``k`` belongs to.  In log space each term is
+    ``c_k · exp(E_k · log x)``, so
+
+    - the constraint vector is one matvec plus a ``bincount``:
+      ``f(x) + margin = bincount(rows, c · exp(E @ log x)) + margins``;
+    - a weighted sum of constraint gradients ``Σ_i s_i ∇f_i`` (what a
+      multiplier method needs) is one transposed matvec:
+      ``Eᵀ @ (t · s[rows]) / x`` with ``t`` the term values.
+    """
+
+    __slots__ = ("num_constraints", "coeffs", "rows", "margins", "exponents",
+                 "exponents_t")
+
+    def __init__(self, constraints: Sequence[Constraint], num_vars: int) -> None:
+        self.num_constraints = len(constraints)
+        coeffs: list[float] = []
+        rows: list[int] = []
+        entry_rows: list[int] = []
+        entry_cols: list[int] = []
+        entry_data: list[float] = []
+        for index, constraint in enumerate(constraints):
+            for coeff, exponents in constraint.signomial.terms():
+                term = len(coeffs)
+                coeffs.append(coeff)
+                rows.append(index)
+                for var, exp in exponents.items():
+                    entry_rows.append(term)
+                    entry_cols.append(var)
+                    entry_data.append(exp)
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.margins = np.array([c.margin for c in constraints], dtype=float)
+        self.exponents = sparse.csr_matrix(
+            (entry_data, (entry_rows, entry_cols)), shape=(len(coeffs), num_vars)
+        )
+        self.exponents_t = self.exponents.T.tocsr()
+
+    def values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(f(x) + margins, term values)`` at a positive point ``x``."""
+        terms = self.coeffs * np.exp(self.exponents @ np.log(x))
+        summed = np.bincount(self.rows, weights=terms, minlength=self.num_constraints)
+        return summed + self.margins, terms
+
+    def weighted_grad(self, x: np.ndarray, terms: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+        """``Σ_i weights_i · ∇f_i(x)`` given the term values at ``x``."""
+        return (self.exponents_t @ (terms * weights[self.rows])) / x
 
 
 class SGPProblem:
@@ -147,6 +195,7 @@ class SGPProblem:
             self.x0, self.lower, self.upper, seam="sgp.problem"
         )
         self.constraints: list[Constraint] = []
+        self._stacked: "StackedConstraints | None" = None
         self._objective: "SmoothObjective | None" = None
         self._objective_signomial: "Signomial | None" = None
 
@@ -178,6 +227,7 @@ class SGPProblem:
             margin=float(margin),
         )
         self.constraints.append(constraint)
+        self._stacked = None
         return constraint
 
     def set_objective(self, objective: "Signomial | SmoothObjective") -> None:
@@ -212,19 +262,19 @@ class SGPProblem:
         """
         return self._objective_signomial
 
-    def compile(self) -> None:
-        """Compile every constraint for fast evaluation (idempotent)."""
-        for constraint in self.constraints:
-            if constraint.compiled is None:
-                constraint.compiled = constraint.signomial.compile(self.num_vars)
+    def compile(self) -> StackedConstraints:
+        """Stack every constraint for fast evaluation (cached until the
+        next :meth:`add_constraint`)."""
+        if self._stacked is None:
+            self._stacked = StackedConstraints(self.constraints, self.num_vars)
+        return self._stacked
 
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
     def constraint_values(self, x: np.ndarray) -> np.ndarray:
         """Vector of ``f_i(x) + margin_i`` (feasible entries are ≤ 0)."""
-        self.compile()
-        return np.array([c.value(np.asarray(x, dtype=float)) for c in self.constraints])
+        return self.compile().values(np.asarray(x, dtype=float))[0]
 
     def num_satisfied(self, x: np.ndarray, *, tol: float = 1e-9) -> int:
         """How many constraints hold at ``x`` (within ``tol``)."""

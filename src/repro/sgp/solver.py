@@ -1,17 +1,25 @@
-"""SGP solvers built on :mod:`scipy.optimize`.
+"""The SGP solver: a PHR augmented-Lagrangian method over L-BFGS-B.
 
-The paper solves its programs with MATLAB's ``fmincon`` (Section VII-A3);
-the closest Python analogue is :func:`scipy.optimize.minimize` with the
-SLSQP or trust-constr methods, both of which handle smooth nonlinear
-objectives, nonlinear inequality constraints, and box bounds.  A
-quadratic-penalty fallback handles the cases where an SQP step fails
-(singular working sets are common when many walk terms share edges):
-it folds constraint violations into the objective with an increasing
-penalty weight and needs only L-BFGS-B.
+The paper solves its programs with MATLAB's ``fmincon`` (Section
+VII-A3), a general NLP solver.  Here every program goes through one
+method of multipliers (Powell–Hestenes–Rockafellar form).  For the
+constraints ``c(x) ≤ 0`` each round minimizes, under the box bounds,
 
-All methods evaluate constraints and gradients through the compiled
-signomial forms, so a program with hundreds of constraints and thousands
-of walk terms per constraint stays tractable.
+    L(x; λ, ρ) = f(x) + (‖max(0, λ + ρ·c(x))‖² − ‖λ‖²) / (2ρ)
+
+with L-BFGS-B warm-started from the previous round's point, then sets
+``λ ← max(0, λ + ρ·c(x))``.  ρ grows (up to a cap) only when the
+constraint error fails to shrink fast enough.  Memory per iteration is
+O(n), and the constraints are evaluated through the program's stacked
+sparse form (:class:`~repro.sgp.problem.StackedConstraints`), so one
+evaluation of ``L`` and its gradient costs two sparse matvecs however
+many constraints the batch has.
+
+A large ρ makes ``L`` stiff, and L-BFGS-B then stops short of the
+subproblem's minimizer.  So the first time the error falls within
+tolerance at a ρ above :data:`POLISH_PENALTY`, ρ drops to it and the
+rounds continue: the multipliers are accurate by then, and the better
+conditioned subproblem moves the point onto the constrained optimum.
 """
 
 from __future__ import annotations
@@ -23,9 +31,30 @@ import numpy as np
 from scipy import optimize
 
 from repro.devtools.contracts import check_weight_bounds
-from repro.errors import SGPSolverError
 from repro.obs import get_registry, trace_span
 from repro.sgp.problem import SGPProblem
+
+#: Penalty weight ρ of the first round, its growth factor when a round
+#: fails to cut the constraint error by :data:`REQUIRED_DECREASE`, its
+#: cap, and the value it drops to once for the final rounds.
+INITIAL_PENALTY = 1.0
+PENALTY_GROWTH = 10.0
+REQUIRED_DECREASE = 0.25
+MAX_PENALTY = 1e6
+POLISH_PENALTY = 1e3
+#: Multiplier rounds before the solver gives up converging.
+MAX_ROUNDS = 30
+#: Constraints are solved with their margins raised by this much, and
+#: the solve has converged once the constraint error of that tightened
+#: program — ``max_i |max(c_i, −λ_i/ρ)|``, violation and complementarity
+#: together — is within it, so a converged point satisfies every real
+#: constraint.
+TOLERANCE = 1e-6
+#: L-BFGS-B line-search budget; stiff subproblems need more than the
+#: default 20 steps.
+LINE_SEARCH_STEPS = 100
+#: Moves at most this large are L-BFGS-B noise (see :func:`_reset_drift`).
+DRIFT = 1e-4
 
 
 @dataclass
@@ -44,14 +73,19 @@ class SGPSolution:
         so a solution is not discarded merely because some constraints
         fail.
     success:
-        Whether the underlying solver reported success.
+        Whether the solver converged (constraint error within
+        :data:`TOLERANCE`).
     method:
-        Which method produced the point (``slsqp``, ``trust-constr``,
-        ``penalty``, or ``slsqp+penalty`` when the fallback fired).
+        Which solver produced the point: ``augmented-lagrangian`` for
+        :func:`solve_sgp`, ``condensation`` for
+        :func:`~repro.sgp.condensation.solve_by_condensation`.
     message:
         Solver diagnostic text.
     elapsed:
         Wall-clock seconds spent in the solver.
+    nit:
+        Solver iterations (for :func:`solve_sgp`, L-BFGS-B iterations
+        summed over every multiplier round).
     """
 
     x: np.ndarray
@@ -76,23 +110,6 @@ class SGPSolution:
         solution (≤ 0 means fully feasible; 0.0 for unconstrained
         programs)."""
         return float(self.extras.get("max_residual", 0.0))
-
-
-def _scipy_constraints(problem: SGPProblem) -> list[dict]:
-    """SLSQP-style constraint dicts: ``fun(x) ≥ 0`` per constraint."""
-    constraints = []
-    for record in problem.constraints:
-        compiled = record.compiled
-        margin = record.margin
-
-        def fun(x, _c=compiled, _m=margin):
-            return -(_c.value(x) + _m)
-
-        def jac(x, _c=compiled):
-            return -_c.grad(x)
-
-        constraints.append({"type": "ineq", "fun": fun, "jac": jac})
-    return constraints
 
 
 def _finalize(problem: SGPProblem, x: np.ndarray, *, success: bool, method: str,
@@ -124,201 +141,84 @@ def _finalize(problem: SGPProblem, x: np.ndarray, *, success: bool, method: str,
     )
 
 
-def _solve_slsqp(problem: SGPProblem, *, max_iter: int, tol: float) -> SGPSolution:
-    start = time.perf_counter()
-    objective = problem.objective
-
-    def fun(x):
-        return objective.value_and_grad(x)
-
-    result = optimize.minimize(
-        fun,
-        problem.x0,
-        jac=True,
-        method="SLSQP",
-        bounds=optimize.Bounds(problem.lower, problem.upper),
-        constraints=_scipy_constraints(problem),
-        options={"maxiter": max_iter, "ftol": tol},
-    )
-    return _finalize(
-        problem,
-        result.x,
-        success=bool(result.success),
-        method="slsqp",
-        message=str(result.message),
-        elapsed=time.perf_counter() - start,
-        nit=int(result.get("nit", 0)),
-    )
-
-
-def _solve_trust_constr(problem: SGPProblem, *, max_iter: int, tol: float) -> SGPSolution:
-    start = time.perf_counter()
-    objective = problem.objective
-
-    nonlinear = []
-    if problem.constraints:
-        compiled = [c.compiled for c in problem.constraints]
-        margins = np.array([c.margin for c in problem.constraints])
-
-        def fun(x):
-            return np.array([c.value(x) for c in compiled]) + margins
-
-        def jac(x):
-            return np.vstack([c.grad(x) for c in compiled])
-
-        nonlinear.append(
-            optimize.NonlinearConstraint(fun, -np.inf, 0.0, jac=jac)
-        )
-
-    result = optimize.minimize(
-        lambda x: objective.value_and_grad(x),
-        problem.x0,
-        jac=True,
-        method="trust-constr",
-        bounds=optimize.Bounds(problem.lower, problem.upper),
-        constraints=nonlinear,
-        options={"maxiter": max_iter, "gtol": tol, "xtol": tol},
-    )
-    return _finalize(
-        problem,
-        result.x,
-        success=bool(result.success),
-        method="trust-constr",
-        message=str(result.message),
-        elapsed=time.perf_counter() - start,
-        nit=int(result.get("nit", 0)),
-    )
-
-
-def _solve_penalty(
-    problem: SGPProblem,
-    *,
-    max_iter: int,
-    tol: float,
-    initial_penalty: float = 10.0,
-    penalty_growth: float = 10.0,
-    rounds: int = 6,
-    margin_slack: float = 1e-6,
-) -> SGPSolution:
-    """Quadratic-penalty method: unconstrained solves with growing ρ.
-
-    Margins are inflated by ``margin_slack`` during the solve: a pure
-    quadratic penalty converges to the constraint boundary from the
-    infeasible side, so aiming slightly past the true margin makes the
-    returned point strictly feasible with respect to the real one.
-    """
-    start = time.perf_counter()
-    objective = problem.objective
-    compiled = [c.compiled for c in problem.constraints]
-    margins = [c.margin + margin_slack for c in problem.constraints]
-
-    x = problem.x0.copy()
-    rho = initial_penalty
-    total_nit = 0
-    message = "penalty method"
-    for _ in range(rounds):
-        def fun(x, _rho=rho):
-            value, grad = objective.value_and_grad(x)
-            for c, margin in zip(compiled, margins):
-                c_value, c_grad = c.value_and_grad(x)
-                violation = c_value + margin
-                if violation > 0.0:
-                    value += _rho * violation * violation
-                    grad = grad + (2.0 * _rho * violation) * c_grad
-            return value, grad
-
-        result = optimize.minimize(
-            fun,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=optimize.Bounds(problem.lower, problem.upper),
-            options={"maxiter": max_iter, "ftol": tol * 1e-3},
-        )
-        x = np.clip(result.x, problem.lower, problem.upper)
-        total_nit += int(result.get("nit", 0))
-        if problem.num_satisfied(x) == problem.num_constraints:
-            message = "penalty method: all constraints satisfied"
-            break
-        rho *= penalty_growth
-    return _finalize(
-        problem,
-        x,
-        success=True,
-        method="penalty",
-        message=message,
-        elapsed=time.perf_counter() - start,
-        nit=total_nit,
-    )
-
-
-def solve_sgp(
-    problem: SGPProblem,
-    *,
-    method: str = "slsqp",
-    max_iter: int = 200,
-    tol: float = 1e-9,
-    fallback: bool = True,
-) -> SGPSolution:
-    """Solve an :class:`SGPProblem`.
+def solve_sgp(problem: SGPProblem, *, max_iter: int = 200) -> SGPSolution:
+    """Solve an :class:`SGPProblem` by the augmented-Lagrangian method.
 
     Parameters
     ----------
     problem:
         The program; its objective must be set.
-    method:
-        ``"slsqp"`` (default, fastest), ``"trust-constr"`` (more robust
-        on ill-conditioned programs), or ``"penalty"``.
-    max_iter, tol:
-        Iteration cap and tolerance for the underlying scipy solver.
-    fallback:
-        When true and an SQP-family solve fails *and* leaves constraints
-        unsatisfied, re-solve with the penalty method starting from the
-        failed point's better of {x0, x}.  The solution's ``method``
-        field records ``"<method>+penalty"`` in that case.
+    max_iter:
+        L-BFGS-B iteration cap of each multiplier round.
 
     Raises
     ------
-    SGPSolverError
-        For unknown methods or problems without an objective.
+    SGPModelError
+        For problems without an objective.
     """
-    problem.compile()
-    problem.objective  # raises early when unset
+    objective = problem.objective  # raises early when unset
+    stacked = problem.compile()
     with trace_span(
         "sgp.solve",
-        method=method,
         num_vars=problem.num_vars,
         num_constraints=problem.num_constraints,
     ) as span:
-        if method == "slsqp":
-            solution = _solve_slsqp(problem, max_iter=max_iter, tol=tol)
-        elif method == "trust-constr":
-            solution = _solve_trust_constr(problem, max_iter=max_iter, tol=tol)
-        elif method == "penalty":
-            solution = _solve_penalty(problem, max_iter=max_iter, tol=tol)
-        else:
-            raise SGPSolverError(
-                f"unknown method {method!r}; expected 'slsqp', 'trust-constr', "
-                f"or 'penalty'"
-            )
+        start = time.perf_counter()
+        bounds = optimize.Bounds(problem.lower, problem.upper)
+        x = problem.x0.copy()
+        multipliers = np.zeros(problem.num_constraints)
+        rho = INITIAL_PENALTY
+        error = previous_error = np.inf
+        polished = False
+        nit = rounds = 0
+        while rounds < MAX_ROUNDS:
+            rounds += 1
 
-        if (
-            fallback
-            and method != "penalty"
-            and not solution.success
-            and not solution.all_satisfied
-        ):
-            retry = _solve_penalty(problem, max_iter=max_iter, tol=tol)
-            if (retry.num_satisfied, -retry.objective_value) >= (
-                solution.num_satisfied,
-                -solution.objective_value,
-            ):
-                retry.method = f"{solution.method}+penalty"
-                retry.elapsed += solution.elapsed
-                solution = retry
+            def lagrangian(x, _lam=multipliers, _rho=rho):
+                value, grad = objective.value_and_grad(x)
+                c, terms = stacked.values(x)
+                shifted = np.maximum(0.0, _lam + _rho * (c + TOLERANCE))
+                value += (shifted @ shifted - _lam @ _lam) / (2.0 * _rho)
+                return value, grad + stacked.weighted_grad(x, terms, shifted)
+
+            result = optimize.minimize(
+                lagrangian, x, jac=True, method="L-BFGS-B", bounds=bounds,
+                options={"maxiter": max_iter, "maxls": LINE_SEARCH_STEPS},
+            )
+            x = np.clip(result.x, problem.lower, problem.upper)
+            nit += int(result.nit)
+            if not stacked.num_constraints:
+                error = 0.0
+                break
+            c = stacked.values(x)[0] + TOLERANCE
+            error = float(np.abs(np.maximum(c, -multipliers / rho)).max())
+            multipliers = np.maximum(0.0, multipliers + rho * c)
+            if error <= TOLERANCE:
+                if polished or rho <= POLISH_PENALTY:
+                    break
+                rho, polished, previous_error = POLISH_PENALTY, True, np.inf
+                continue
+            if error > REQUIRED_DECREASE * previous_error:
+                rho = min(rho * PENALTY_GROWTH, MAX_PENALTY)
+            previous_error = error
+        x = _reset_drift(problem, x)
+        converged = error <= TOLERANCE
+        solution = _finalize(
+            problem,
+            x,
+            success=converged,
+            method="augmented-lagrangian",
+            message=(
+                f"{'converged' if converged else 'round cap reached'} after "
+                f"{rounds} round(s); constraint error {error:.3g}"
+            ),
+            elapsed=time.perf_counter() - start,
+            nit=nit,
+        )
+        solution.extras["rounds"] = rounds
         span.set_attrs(
-            resolved_method=solution.method,
-            nit=solution.nit,
+            rounds=rounds,
+            nit=nit,
             num_satisfied=solution.num_satisfied,
             max_residual=solution.max_residual,
             success=solution.success,
@@ -327,13 +227,33 @@ def solve_sgp(
     return solution
 
 
+def _reset_drift(problem: SGPProblem, x: np.ndarray) -> np.ndarray:
+    """Put back variables that moved less than :data:`DRIFT`.
+
+    L-BFGS-B stops about ``gtol / curvature`` (~1e-5 here) short of a
+    coordinate's optimum, so a variable no constraint needed still ends
+    that far from its start once a round's overshoot has pulled it.
+    Restoring those starts when it raises no objective and unsatisfies
+    no constraint keeps untouched edges bit-identical: a batch that
+    needs no change publishes no change.
+    """
+    reset = np.where(np.abs(x - problem.x0) <= DRIFT, problem.x0, x)
+    if np.array_equal(reset, x):
+        return x
+    before = problem.constraint_values(x)
+    after = problem.constraint_values(reset)
+    if np.any((after > 1e-9) & (before <= 1e-9)):
+        return x
+    if problem.objective.value(reset) > problem.objective.value(x):
+        return x
+    return reset
+
+
 def _record_solve_metrics(solution: SGPSolution) -> None:
-    """Registry telemetry for one finished solve (any method)."""
+    """Registry telemetry for one finished solve."""
     registry = get_registry()
     registry.counter("sgp_solves_total", method=solution.method).inc()
     registry.histogram("sgp_solve_seconds").observe(solution.elapsed)
     registry.counter("sgp_iterations_total").inc(max(solution.nit, 0))
-    if "+penalty" in solution.method:
-        registry.counter("sgp_fallbacks_total").inc()
     if not solution.all_satisfied:
         registry.counter("sgp_partial_solutions_total").inc()

@@ -181,7 +181,15 @@ class TestSolverBudgets:
         with pytest.raises(ConvergenceError):
             ppr_vector(graph, next(iter(graph.nodes())), max_iter=1, tol=1e-15)
 
-    def test_unknown_solver_method_propagates(self):
+    def test_solver_failure_propagates(self, monkeypatch):
+        """A failing SGP solve surfaces as SGPSolverError, leaves the
+        caller's graph untouched, and an online flush keeps its batch
+        for the retry."""
+
+        def exploding(*args, **kwargs):
+            raise SGPSolverError("injected solver failure")
+
+        monkeypatch.setattr("repro.optimize.multi_vote.solve_sgp", exploding)
         kg = WeightedDiGraph.from_edges(
             [("x", "y", 0.6), ("x", "z", 0.3)], strict=False
         )
@@ -190,11 +198,25 @@ class TestSolverBudgets:
         aug.add_answer("a1", {"y": 1})
         aug.add_answer("a2", {"z": 1})
         vote = Vote("q", ("a1", "a2"), "a2")
+        original = kg_weights(aug)
         with pytest.raises(SGPSolverError):
-            solve_multi_vote(
-                aug, [vote], solver_method="nonsense",
-                feasibility_filter=False,
-            )
+            solve_multi_vote(aug, [vote], feasibility_filter=False)
+        assert kg_weights(aug) == original
+
+        scenario, votes = build_scenario()
+        before = kg_weights(scenario)
+        online = OnlineOptimizer(scenario, policy=CountPolicy(batch_size=100))
+        for queued in votes[:BATCH_SIZE]:
+            online.submit(queued)
+        with pytest.raises(SGPSolverError):
+            online.flush()
+        assert kg_weights(scenario) == before
+        assert list(online.pending.votes) == votes[:BATCH_SIZE]
+        assert online.history == []
+
+        monkeypatch.undo()
+        outcome = online.flush()
+        assert outcome is not None and outcome.num_votes == BATCH_SIZE
 
 
 class TestNumericalEdges:

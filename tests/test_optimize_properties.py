@@ -130,3 +130,15 @@ class TestSolvedGraphInvariants:
         )
         best = scores[vote.best_answer]
         assert all(best >= scores[a] - 1e-12 for a in vote.others())
+
+    def test_satisfied_positive_vote_leaves_weights_bit_identical(self):
+        """A positive vote whose constraints already hold needs no edit:
+        the solve hands back every edge weight exactly as it was."""
+        aug, votes = random_workload(1, num_answers=6, num_queries=6)
+        vote = next(v for v in votes if v.is_positive)
+        before = {edge.key: edge.weight for edge in aug.kg_edges()}
+        optimized, report = solve_multi_vote(
+            aug, [vote], feasibility_filter=False
+        )
+        assert report.changed_edges == {}
+        assert {e.key: e.weight for e in optimized.kg_edges()} == before

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SGPModelError, SGPSolverError
+from repro.optimize.encoder import encode_votes
+from repro.optimize.objectives import distance_signomial
 from repro.sgp import (
     SGPProblem,
     Signomial,
@@ -12,6 +16,11 @@ from repro.sgp import (
     solve_sgp,
 )
 from repro.sgp.condensation import condense_posynomial, split_signomial
+from repro.sgp.solver import MAX_ROUNDS
+from repro.votes import Vote
+
+from tests.sgp_reference import constraint_jacobian, solve_sgp_slsqp
+from tests.test_optimize_properties import random_workload
 
 
 def distance_objective(x0):
@@ -96,6 +105,30 @@ class TestSGPProblem:
         out_of_box = np.array([1.5, 0.1])
         assert not problem.is_feasible(out_of_box)
 
+    def test_stacked_constraints_match_signomials(self):
+        problem = SGPProblem([0.3, 0.6, 0.2], lower=0.01, upper=1.0)
+        first = Signomial.from_terms(
+            [(2.0, {0: 1.0, 1: 2.0}), (-1.0, {2: 1.0}), (0.1, {})]
+        )
+        second = Signomial.from_terms([(1.0, {1: 1.0}), (-3.0, {0: 0.5})])
+        problem.add_constraint(first, margin=0.05)
+        problem.add_constraint(second)
+        problem.add_constraint(Signomial())  # no terms at all
+        x = np.array([0.4, 0.7, 0.9])
+        expected = [first.evaluate(x) + 0.05, second.evaluate(x), 0.0]
+        assert problem.constraint_values(x) == pytest.approx(expected)
+        jacobian = constraint_jacobian(problem, x)
+        for row, sig in zip(jacobian, (first, second)):
+            grad = sig.gradient(x)
+            assert row == pytest.approx([grad.get(j, 0.0) for j in range(3)])
+        assert not jacobian[2].any()
+
+    def test_stack_rebuilt_after_new_constraint(self):
+        problem = simple_problem()
+        assert problem.constraint_values(np.array([0.4, 0.2])).size == 1
+        problem.add_constraint(Signomial.variable(0) - 0.9)
+        assert problem.constraint_values(np.array([0.4, 0.2])).size == 2
+
 
 class TestSmoothObjective:
     def test_from_signomial(self):
@@ -118,48 +151,68 @@ class TestSmoothObjective:
             SmoothObjective.weighted_sum([])
 
 
-@pytest.mark.parametrize("method", ["slsqp", "trust-constr", "penalty"])
+#: The production solve and the SLSQP oracle the tests compare it with.
+SOLVERS = [
+    pytest.param(solve_sgp_slsqp, id="slsqp"),
+    pytest.param(solve_sgp, id="augmented-lagrangian"),
+]
+
+
+@pytest.mark.parametrize("solve", SOLVERS)
 class TestSolvers:
-    def test_satisfies_constraint(self, method):
+    def test_satisfies_constraint(self, solve):
         problem = simple_problem()
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         assert solution.all_satisfied
         assert solution.x[0] - solution.x[1] >= 0.05 - 1e-6
 
-    def test_moves_minimally(self, method):
+    def test_moves_minimally(self, solve):
         problem = simple_problem()
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         # The optimum splits the 0.25 gap symmetrically.
         assert solution.x[0] == pytest.approx(0.325, abs=0.01)
         assert solution.x[1] == pytest.approx(0.275, abs=0.01)
         assert solution.objective_value == pytest.approx(2 * 0.125**2, abs=1e-3)
 
-    def test_respects_bounds(self, method):
+    def test_respects_bounds(self, solve):
         problem = SGPProblem([0.5], lower=0.3, upper=0.6)
         # Constraint pushes x down: x <= 0.1 is unreachable inside bounds.
         problem.add_constraint(Signomial.variable(0) - 0.1)
         problem.set_objective(distance_objective([0.5]))
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         assert 0.3 - 1e-9 <= solution.x[0] <= 0.6 + 1e-9
 
-    def test_no_constraints(self, method):
+    def test_no_constraints(self, solve):
         problem = SGPProblem([0.4, 0.6])
         problem.set_objective(distance_objective([0.4, 0.6]))
-        solution = solve_sgp(problem, method=method)
+        solution = solve(problem)
         assert solution.x == pytest.approx(np.array([0.4, 0.6]), abs=1e-6)
         assert solution.objective_value == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSolverEdgeCases:
     def test_unknown_method(self):
-        problem = simple_problem()
-        with pytest.raises(SGPSolverError):
-            solve_sgp(problem, method="gradient-descent")
+        """There is one solve: the old method selector is rejected."""
+        with pytest.raises(TypeError):
+            solve_sgp(simple_problem(), method="slsqp")
 
     def test_solution_reports_method_and_time(self):
         solution = solve_sgp(simple_problem())
-        assert solution.method in {"slsqp", "slsqp+penalty"}
+        assert solution.method == "augmented-lagrangian"
+        assert solution.success
+        assert 1 <= solution.extras["rounds"] <= MAX_ROUNDS
         assert solution.elapsed >= 0.0
+
+    def test_infeasible_program_reports_no_convergence(self):
+        problem = SGPProblem([0.5], lower=0.3, upper=0.6)
+        problem.add_constraint(Signomial.variable(0) - 0.1)
+        problem.set_objective(distance_objective([0.5]))
+        solution = solve_sgp(problem)
+        assert not solution.success
+        assert solution.extras["rounds"] == MAX_ROUNDS
+        # The point closest to feasibility is the lower bound.
+        assert solution.x[0] == pytest.approx(0.3, abs=1e-6)
+        assert solution.max_residual == pytest.approx(0.2, abs=1e-6)
 
     def test_conflicting_constraints_partial_satisfaction(self):
         """x0 > x1 and x1 > x0 cannot both hold; the solver reports it."""
@@ -173,6 +226,63 @@ class TestSolverEdgeCases:
         problem.set_objective(distance_objective([0.5, 0.5]))
         solution = solve_sgp(problem)
         assert solution.num_satisfied < 2
+
+
+def single_vote_program(seed):
+    """A random single-vote program as Algorithm 1 builds it: hard
+    constraints (no deviations) and the Eq. 12 distance objective.
+    ``None`` when the random vote leaves nothing to encode."""
+    aug, votes = random_workload(seed, num_answers=4, num_queries=1)
+    if not votes:
+        return None
+    vote = votes[0]
+    # Vote for the last-ranked answer: the hardest single-vote move.
+    vote = Vote(vote.query, vote.ranked_answers, vote.ranked_answers[-1])
+    try:
+        encoded = encode_votes(aug, [vote], use_deviations=False)
+    except SGPModelError:
+        return None
+    if not encoded.problem.constraints:
+        return None
+    encoded.problem.set_objective(
+        distance_signomial(encoded.problem.x0[: encoded.num_edge_vars])
+    )
+    return encoded.problem
+
+
+class TestAgainstSLSQP:
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_property_matches_slsqp_on_single_vote_programs(self, seed):
+        """On random feasible single-vote programs the augmented-Lagrangian
+        point is inside the box, satisfies every constraint SLSQP
+        satisfies, and its objective is no more than 1e-3 relative above
+        SLSQP's (a lower one is a better local optimum, not an error)."""
+        problem = single_vote_program(seed)
+        if problem is None:
+            return
+        reference = solve_sgp_slsqp(problem)
+        assume(reference.all_satisfied)
+        solution = solve_sgp(problem)
+        assert np.all(solution.x >= problem.lower)
+        assert np.all(solution.x <= problem.upper)
+        held = problem.constraint_values(reference.x) <= 1e-9
+        assert np.all(problem.constraint_values(solution.x)[held] <= 1e-9)
+        assert solution.objective_value <= (
+            reference.objective_value * (1.0 + 1e-3) + 1e-9
+        )
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known gap: the first low-penalty round pushes the weights into a "
+        "basin where the constraint barely responds, and the solve ends "
+        "at a feasible point 36% above SLSQP's objective"
+    ))
+    def test_nonconvex_trap_matches_slsqp(self):
+        problem = single_vote_program(403)
+        reference = solve_sgp_slsqp(problem)
+        solution = solve_sgp(problem)
+        assert reference.all_satisfied and solution.all_satisfied
+        assert solution.objective_value <= reference.objective_value * (1.0 + 1e-3)
 
 
 class TestCondensation:
@@ -218,5 +328,5 @@ class TestCondensation:
 
     def test_agrees_with_slsqp(self):
         by_condensation = solve_by_condensation(simple_problem())
-        by_slsqp = solve_sgp(simple_problem(), method="slsqp")
+        by_slsqp = solve_sgp_slsqp(simple_problem())
         assert by_condensation.x == pytest.approx(by_slsqp.x, abs=0.02)
