@@ -33,7 +33,7 @@ import json
 import os
 import time
 
-from conftest import report
+from conftest import engine_count, report
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def _build_serving_workload(scale):
 
 
 def _timed_top_k(aug, queries, params):
-    """Per-query top-k latency + engine stats with an LRU of size 0.
+    """Per-query top-k latency + mean push edges touched, LRU of size 0.
 
     ``cache_size=0`` forces every call through the kernel, so the
     measurement is pure propagation cost, not cache-hit cost.
@@ -195,7 +195,12 @@ def _timed_top_k(aug, queries, params):
         for query in queries:
             top_lists.append(engine.top_k(query))
         elapsed = time.perf_counter() - start
-        return elapsed / len(queries), engine.stats(), top_lists
+        serves = engine_count(engine, "engine_push_serves_total")
+        touched = engine.registry.value(
+            "engine_push_edges_touched", engine=engine.engine_label
+        )["sum"]
+        touched_mean = touched / serves if serves else 0.0
+        return elapsed / len(queries), touched_mean, top_lists
     finally:
         engine.close()
 
@@ -205,14 +210,13 @@ def _measure_crossover_scale(scale):
     dense_latency, _, dense_lists = _timed_top_k(
         aug, queries, CROSSOVER_PARAMS
     )
-    push_latency, push_stats, push_lists = _timed_top_k(
+    push_latency, touched_mean, push_lists = _timed_top_k(
         aug, queries, CROSSOVER_PARAMS.replace(backend="push")
     )
     # Default push tolerance (1e-8) must not move a single rank.
     assert [
         [doc for doc, _ in ranked] for ranked in dense_lists
     ] == [[doc for doc, _ in ranked] for ranked in push_lists]
-    touched_mean = push_stats.push_edges_touched / push_stats.push_serves
     return dict(
         scale=scale,
         num_edges=num_edges,

@@ -32,6 +32,11 @@ def report(text: str) -> None:
     _REPORTS.append(text)
 
 
+def engine_count(engine, name: str) -> int:
+    """An ``engine_*`` counter of ``engine``: its registry, its label."""
+    return int(engine.registry.value(name, engine=engine.engine_label))
+
+
 def pytest_terminal_summary(terminalreporter):
     if not _REPORTS:
         return

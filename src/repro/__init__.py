@@ -22,7 +22,9 @@ Quick start::
     system.vote("q0", best_doc=answers[2][0])   # a negative vote
     report = system.optimize(strategy="multi")  # adjust edge weights
     print(report.summary())
-    print(system.serving_stats())               # engine cache counters
+    engine = system.engine                      # engine cache counters:
+    print(engine.registry.value("engine_cache_hits_total",
+                                engine=engine.engine_label))
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for the
 reproduced tables and figures.
@@ -78,7 +80,7 @@ from repro.obs import (
     summary_table,
     trace_span,
 )
-from repro.serving import EngineStats, SimilarityEngine, SimilarityParams
+from repro.serving import SimilarityEngine, SimilarityParams
 
 __version__ = "1.0.0"
 
@@ -116,7 +118,6 @@ __all__ = [
     "vote_omega_avg",
     "SimilarityParams",
     "SimilarityEngine",
-    "EngineStats",
     "MetricsRegistry",
     "get_registry",
     "trace_span",

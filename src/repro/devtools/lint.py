@@ -12,9 +12,10 @@ Rule      What it rejects
 ``R001``  Direct mutation of CSR buffers (``.data`` / ``.indices`` /
           ``.indptr`` assignment) outside the
           :class:`~repro.serving.engine.SimilarityEngine` patch API.
-``R002``  A string literal passed to ``trace_span`` or to
-          ``registry.counter/gauge/histogram`` that is not declared in
-          :mod:`repro.obs.catalog` — the typo'd-phantom-series guard.
+``R002``  A metric or operation name literal not declared in
+          :mod:`repro.obs.catalog` — the typo'd-phantom-series guard —
+          and a ``trace_span`` / ``.record`` / ``.record_timed`` call in
+          ``repro/`` outside ``repro/obs/`` (use :func:`repro.obs.op`).
 ``R003``  ``print()`` calls in library code (the logging migration
           regression guard).
 ``R004``  Module-level or unseeded randomness: ``import random``,
@@ -92,8 +93,9 @@ RULES: dict[str, str] = {
         "the SimilarityEngine patch API"
     ),
     "R002": (
-        "metric/span names passed to obs must be declared in "
-        "repro.obs.catalog (typo'd series guard)"
+        "metric/operation names passed to obs must be declared in "
+        "repro.obs.catalog (typo'd series guard); trace_span/record calls "
+        "only inside repro/obs (instrument through repro.obs.op)"
     ),
     "R003": "no print() in library code; use the repro.cli logger / logging",
     "R004": (
@@ -106,7 +108,7 @@ RULES: dict[str, str] = {
         "resolve kernels via SimilarityParams.backend and the backend registry"
     ),
     "R007": (
-        "every catalog-declared metric/span must be emitted somewhere in the "
+        "every catalog-declared metric/op must be emitted somewhere in the "
         "linted tree (dead/phantom catalog entry guard — the inverse of R002)"
     ),
     "R008": (
@@ -159,6 +161,12 @@ _CSR_BUFFERS = frozenset({"data", "indices", "indptr"})
 #: other member is the legacy global-state API and always violates R004.
 _SEEDED_RNG_FACTORIES = frozenset({"default_rng", "Generator", "SeedSequence"})
 
+#: Sink calls that bypass the :func:`repro.obs.op` seam (R002 outside
+#: ``repro/obs/``), and every call whose literal first argument names
+#: an operation.
+_SEAM_BYPASSES = frozenset({"trace_span", "record", "record_timed"})
+_OP_CALLS = _SEAM_BYPASSES | {"op", "event"}
+
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9, ]+))?", re.IGNORECASE)
 
 
@@ -194,6 +202,9 @@ class _RuleVisitor(ast.NodeVisitor):
     def __init__(self, path: str, active_rules: frozenset[str]) -> None:
         self.path = path
         self.active = active_rules
+        # Inside the repro package, only repro/obs/ calls the sinks.
+        normalized = path.replace("\\", "/")
+        self._seam_checked = "repro/" in normalized and "/obs/" not in normalized
         self.violations: list[LintViolation] = []
         self._function_depth = 0
         self._numpy_aliases: set[str] = set()
@@ -377,11 +388,7 @@ class _RuleVisitor(ast.NodeVisitor):
                     f"import time; construct RNGs inside functions",
                 )
         # R006: direct similarity-kernel calls outside similarity/
-        terminal = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute) else None
-        )
+        terminal = _terminal_name(func)
         if terminal is not None and terminal.startswith(_KERNEL_PREFIXES):
             self._emit(
                 "R006",
@@ -395,18 +402,27 @@ class _RuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_obs_name(self, node: ast.Call, func: ast.AST) -> None:
+        if self._seam_checked:
+            called = _terminal_name(func)
+            if called in _SEAM_BYPASSES:
+                self._emit(
+                    "R002",
+                    node,
+                    f"{called}() outside repro/obs bypasses the "
+                    f"instrumentation seam; use repro.obs.op / event",
+                )
         emitted = _obs_name_of(node)
         if emitted is None:
             return
         kind, name = emitted
-        if kind == "span" and not catalog.is_registered_span(name):
+        if kind == "op" and name not in catalog.OPS:
             self._emit(
                 "R002",
                 node,
-                f"span name {name!r} is not declared in repro.obs.catalog "
-                f"(typo, or add it to SPANS)",
+                f"operation name {name!r} is not declared in "
+                f"repro.obs.catalog (typo, or add it to OPS)",
             )
-        elif kind != "span" and not catalog.is_registered_metric(name):
+        elif kind != "op" and name not in catalog.METRICS:
             self._emit(
                 "R002",
                 node,
@@ -415,34 +431,34 @@ class _RuleVisitor(ast.NodeVisitor):
             )
 
 
-def _obs_name_of(node: ast.Call) -> "tuple[str, str] | None":
-    """``(kind, name)`` when ``node`` emits an obs series, else ``None``.
+def _terminal_name(func: ast.AST) -> "str | None":
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
-    Matches the shapes R002 polices — ``trace_span("...")`` and
-    ``<registry>.counter/gauge/histogram("...")`` with a literal first
-    argument, plus the local-alias idiom ``counter = registry.counter;
-    counter("...")`` — so the dead-series sweep (R007) and the
-    phantom-name check (R002) agree on what "emitted" means by
+
+def _obs_name_of(node: ast.Call) -> "tuple[str, str] | None":
+    """``(kind, name)`` when ``node`` emits an obs name, else ``None``.
+
+    Matches the shapes R002 polices — operations (:data:`_OP_CALLS`,
+    kind ``"op"``) and ``<registry>.counter/gauge/histogram("...")`` with
+    a literal first argument, plus the local-alias idiom ``counter =
+    registry.counter; counter("...")`` — so the dead-series sweep (R007)
+    and the phantom-name check (R002) agree on what "emitted" means by
     construction.
     """
-    func = node.func
     if not node.args:
         return None
     first = node.args[0]
     if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
         return None
-    if isinstance(func, ast.Name):
-        if func.id == "trace_span":
-            return "span", first.value
-        if func.id in ("counter", "gauge", "histogram"):
-            return func.id, first.value
-        return None
-    if isinstance(func, ast.Attribute) and func.attr in (
-        "counter",
-        "gauge",
-        "histogram",
-    ):
-        return func.attr, first.value
+    called = _terminal_name(node.func)
+    if called in _OP_CALLS:
+        return "op", first.value
+    if called in ("counter", "gauge", "histogram"):
+        return called, first.value
     return None
 
 
@@ -543,14 +559,15 @@ def lint_paths(
 def collect_emitted_names(
     paths: Iterable["str | Path"],
 ) -> tuple[set[str], set[str]]:
-    """``(metric names, span names)`` emitted anywhere under ``paths``.
+    """``(metric names, operation names)`` emitted anywhere under ``paths``.
 
-    "Emitted" means the literal-name call shapes R002 polices; a file
-    with a syntax error contributes nothing (the regular lint pass
-    reports it).
+    "Emitted" means the literal-name call shapes R002 polices; an
+    emitted operation also emits the histograms its :data:`OPS` row
+    feeds.  A file with a syntax error contributes nothing (the regular
+    lint pass reports it).
     """
     metrics: set[str] = set()
-    spans: set[str] = set()
+    ops: set[str] = set()
     for entry in paths:
         entry_path = Path(entry)
         if entry_path.is_dir():
@@ -572,15 +589,21 @@ def collect_emitted_names(
                     if emitted is None:
                         continue
                     kind, name = emitted
-                    (spans if kind == "span" else metrics).add(name)
-    return metrics, spans
+                    (ops if kind == "op" else metrics).add(name)
+    for name in ops:
+        spec = catalog.OPS.get(name)
+        if spec is not None:
+            metrics.update(spec.values.values())
+            if spec.histogram is not None:
+                metrics.add(spec.histogram)
+    return metrics, ops
 
 
 def find_dead_series(
     paths: Iterable["str | Path"],
     *,
     metrics: "Iterable[str] | None" = None,
-    spans: "Iterable[str] | None" = None,
+    ops: "Iterable[str] | None" = None,
 ) -> list[LintViolation]:
     """R007: catalog entries emitted nowhere under ``paths``.
 
@@ -589,11 +612,11 @@ def find_dead_series(
     phantom declarations no call site emits (a dashboard reading such a
     series would flatline forever).  A whole-tree property rather than a
     per-line one, so violations are attributed to the catalog module
-    itself.  ``metrics``/``spans`` override the declared sets for tests.
+    itself.  ``metrics``/``ops`` override the declared sets for tests.
     """
     declared_metrics = frozenset(catalog.METRICS if metrics is None else metrics)
-    declared_spans = frozenset(catalog.SPANS if spans is None else spans)
-    emitted_metrics, emitted_spans = collect_emitted_names(paths)
+    declared_ops = frozenset(catalog.OPS if ops is None else ops)
+    emitted_metrics, emitted_ops = collect_emitted_names(paths)
     catalog_path = str(
         Path(catalog.__file__ or "repro/obs/catalog.py")
     )
@@ -617,11 +640,11 @@ def find_dead_series(
             line=0,
             col=0,
             message=(
-                f"span {name!r} is declared in the catalog but emitted "
-                f"nowhere in the linted tree (dead span)"
+                f"operation {name!r} is declared in OPS but emitted "
+                f"nowhere in the linted tree (dead operation)"
             ),
         )
-        for name in sorted(declared_spans - emitted_spans)
+        for name in sorted(declared_ops - emitted_ops)
     )
     return violations
 

@@ -6,9 +6,10 @@ package:
 - :mod:`repro.obs.metrics` — the process-wide :class:`MetricsRegistry`
   of counters, gauges, and fixed-bucket latency histograms; hot-path
   cheap, snapshot-able as a plain dict;
-- :mod:`repro.obs.tracing` — :func:`trace_span`, nested per-request
-  span trees collected into :class:`Trace` objects (JSONL-exportable,
-  console-renderable);
+- :mod:`repro.obs.ops` — :func:`op`, the one instrumentation seam
+  feeding the sinks an :data:`~repro.obs.catalog.OPS` row declares;
+- :mod:`repro.obs.tracing` — nested per-request span trees collected
+  into :class:`Trace` objects (JSONL-exportable, console-renderable);
 - :mod:`repro.obs.exporters` — JSONL writers, Prometheus text
   exposition, and :func:`summary_table` for end-of-run CLI breakdowns;
 - :mod:`repro.obs.recorder` — the flight recorder: a bounded ring of
@@ -21,8 +22,8 @@ package:
 - :mod:`repro.obs.diag` — the ``repro-kg diag`` health report, rendered
   from a live snapshot or a dumped bundle alike.
 
-See DESIGN.md § Observability for the span hierarchy and the metric
-naming/label conventions.
+See DESIGN.md § Observability for the operation catalog, the span
+hierarchy, and the metric naming/label conventions.
 """
 
 from repro.obs.catalog import (
@@ -30,11 +31,8 @@ from repro.obs.catalog import (
     GAUGES,
     HISTOGRAMS,
     METRIC_PREFIXES,
-    SPAN_PREFIXES,
-    SPANS,
+    OPS,
     catalog_errors,
-    is_registered_metric,
-    is_registered_span,
 )
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -72,6 +70,7 @@ from repro.obs.recorder import (
     arm_recorder,
     disarm_recorder,
 )
+from repro.obs.ops import Ops, event, op
 from repro.obs.slo import (
     LatencyObjective,
     SLOStatus,
@@ -91,11 +90,11 @@ __all__ = [
     "GAUGES",
     "HISTOGRAMS",
     "METRIC_PREFIXES",
-    "SPAN_PREFIXES",
-    "SPANS",
+    "OPS",
     "catalog_errors",
-    "is_registered_metric",
-    "is_registered_span",
+    "Ops",
+    "op",
+    "event",
     "DEFAULT_LATENCY_BUCKETS",
     "Counter",
     "Gauge",

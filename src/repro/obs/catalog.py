@@ -1,14 +1,14 @@
-"""The central catalog of metric and span names.
+"""The central catalog of metric names and instrumented operations.
 
-Every metric series and tracing span the codebase emits is declared
-here, once, next to its kind.  The point is typo-proofing: a metric
-name is a stringly-typed API, and a misspelled ``engine_cache_hit_total``
+Every metric series and operation (:data:`OPS`) the codebase emits is
+declared here, once, next to its kind.  The point is typo-proofing: a
+metric name is a stringly-typed API, and a misspelled ``engine_cache_hit_total``
 silently creates a phantom series that no dashboard reads while the
 real one flatlines.  Two guards consume this catalog:
 
 - the custom lint rule **R002** (:mod:`repro.devtools.lint`) rejects
   any string literal passed to ``registry.counter/gauge/histogram`` or
-  ``trace_span`` that is not declared here, at lint time;
+  naming an operation that is not declared here, at lint time;
 - the test suite asserts every catalog entry follows the naming
   conventions below, so the catalog cannot drift into chaos either.
 
@@ -17,27 +17,28 @@ Naming conventions (also documented in DESIGN.md):
 - metric names are ``<subsystem>_<what>[_<unit>]`` with a subsystem
   prefix from :data:`METRIC_PREFIXES`; counters end in ``_total``,
   latency histograms in ``_seconds``;
-- span names are ``<subsystem>.<stage>`` with a prefix from
-  :data:`SPAN_PREFIXES`.
+- operation names are ``<subsystem>.<stage>``.
 
-Adding a new series is a two-line change: declare it here, then use it;
-the lint self-check keeps the two in sync in both directions.
+Adding a series or an operation is a two-line change: declare it here,
+then use it; the lint self-check keeps the two in sync both ways.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from typing import NamedTuple
+
 __all__ = [
     "METRIC_PREFIXES",
-    "SPAN_PREFIXES",
     "COUNTERS",
     "GAUGES",
     "HISTOGRAMS",
+    "HISTOGRAM_BUCKETS",
     "METRICS",
-    "SPANS",
+    "OPS",
+    "OpSpec",
     "METRIC_HELP",
     "metric_help",
-    "is_registered_metric",
-    "is_registered_span",
     "catalog_errors",
 ]
 
@@ -53,19 +54,6 @@ METRIC_PREFIXES: tuple[str, ...] = (
     "snapshot_",
     "obs_",
     "slo_",
-)
-
-#: Allowed span-name prefixes (dotted form of the same subsystems).
-SPAN_PREFIXES: tuple[str, ...] = (
-    "qa.",
-    "engine.",
-    "sgp.",
-    "optimize.",
-    "votes.",
-    "eval.",
-    "wal.",
-    "snapshot.",
-    "obs.",
 )
 
 #: Monotonic counters (must end in ``_total``).
@@ -181,57 +169,83 @@ HISTOGRAMS: frozenset[str] = frozenset(
 #: Every declared metric name, any kind.
 METRICS: frozenset[str] = COUNTERS | GAUGES | HISTOGRAMS
 
-#: Every declared tracing-span name.
-SPANS: frozenset[str] = frozenset(
-    {
-        # QA front end
-        "qa.ask",
-        "qa.ask_many",
-        "qa.optimize",
-        # serving engine
-        "engine.rebuild",
-        "engine.propagate",
-        "engine.push",
-        "engine.delta",
-        # SGP solvers
-        "sgp.solve",
-        "sgp.condensation",
-        # optimization drivers
-        "optimize.single_vote",
-        "optimize.multi_vote",
-        "optimize.split_merge",
-        "optimize.split",
-        "optimize.merge",
-        "optimize.encode",
-        "optimize.vote",
-        "optimize.cluster",
-        "optimize.solve_clusters",
-        "optimize.publish",
-        # votes / evaluation
-        "votes.feasibility_filter",
-        "eval.test_set",
-        # durability layer
-        "wal.replay",
-        "snapshot.write",
-        "snapshot.recover",
-        # observability (flight-recorder bundle dumps)
-        "obs.dump",
-    }
-)
+class OpSpec(NamedTuple):
+    """The sinks one operation feeds (a row of :data:`OPS`)."""
+
+    span: bool = False  #: a tracing span named after the operation
+    histogram: "str | None" = None  #: latency histogram series
+    #: flight-recorder event: "timed" (carries ``latency``, emitted at
+    #: exit) or "point" (untimed, emitted by :func:`repro.obs.ops.event`)
+    event: "str | None" = None
+    slow: "float | None" = None  #: seconds that fire a ``slow_op`` dump
+    values: "Mapping[str, str]" = {}  #: attribute -> histogram, at exit
+
+
+_SPAN = OpSpec(span=True)
+_POINT = OpSpec(event="point")
+
+#: Every instrumented operation by name, which is at once its span name
+#: and its flight-recorder event kind; :func:`repro.obs.ops.op` feeds the
+#: sinks a row declares from one attribute set.
+OPS: "Mapping[str, OpSpec]" = {
+    "qa.ask": OpSpec(True, "qa_ask_seconds", "timed", slow=0.5),
+    "qa.ask_many": OpSpec(True, "qa_ask_seconds", "timed"),
+    "qa.optimize": OpSpec(True, event="timed", slow=60.0),
+    "qa.vote": _POINT,
+    "engine.serve": OpSpec(event="timed", slow=0.25),
+    "engine.serve_batch": OpSpec(event="timed"),
+    "engine.rebuild": OpSpec(True, "engine_build_seconds"),
+    "engine.append_rows": OpSpec(histogram="engine_build_seconds"),
+    "engine.propagate": OpSpec(True, "engine_propagate_seconds"),
+    # the push backend's cost/accuracy pair gets its own histograms
+    "engine.push": OpSpec(True, "engine_propagate_seconds", values={
+        "edges_touched": "engine_push_edges_touched",
+        "error_bound": "engine_push_error_bound",
+    }),
+    "engine.delta": OpSpec(True, "engine_delta_seconds"),
+    "engine.revalidate": _POINT,
+    "engine.delta_fallback": _POINT,
+    "sgp.solve": OpSpec(True, "sgp_solve_seconds"),
+    "sgp.condensation": OpSpec(True, "sgp_solve_seconds"),
+    "optimize.single_vote": _SPAN,
+    "optimize.multi_vote": _SPAN,
+    "optimize.split_merge": _SPAN,
+    "optimize.split": _SPAN,
+    "optimize.merge": _SPAN,
+    "optimize.encode": _SPAN,
+    "optimize.vote": _SPAN,
+    "optimize.cluster": _SPAN,
+    "optimize.solve_clusters": _SPAN,
+    "optimize.publish": OpSpec(True, "optimize_epoch_publish_seconds", "timed"),
+    "votes.feasibility_filter": _SPAN,
+    "eval.test_set": _SPAN,
+    "wal.append": OpSpec(histogram="wal_append_seconds", event="timed", slow=0.25),
+    "wal.replay": _SPAN,
+    "wal.checkpoint": _POINT,
+    "wal.recover": _POINT,
+    "snapshot.write": OpSpec(True, "snapshot_write_seconds"),
+    "snapshot.recover": OpSpec(True, "snapshot_recover_seconds"),
+    "obs.dump": _SPAN,
+    "contract.violation": _POINT,
+    "slo.breach": _POINT,
+}
+
+#: Histograms with their own buckets (the default is
+#: :data:`repro.obs.metrics.DEFAULT_LATENCY_BUCKETS`).
+HISTOGRAM_BUCKETS: "Mapping[str, tuple[float, ...]]" = {
+    # accounted dropped mass per push query, a score error on [0, 1)
+    "engine_push_error_bound": (
+        1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0,
+    ),
+}
 
 #: Histograms exempt from the ``_seconds`` suffix rule (unitless data).
+#: Histograms an operation feeds from an attribute (``OPS`` ``values``,
+#: e.g. the push backend's edges touched and error bound) hold that
+#: attribute, not a latency.
 _UNITLESS_HISTOGRAMS: frozenset[str] = frozenset(
-    {
-        "optimize_deviation_magnitude",
-        # per-query edge traversals of the push backend (a count, not a
-        # latency — the series the sublinearity claim is asserted on)
-        "engine_push_edges_touched",
-        # per-query accounted dropped mass of the push backend (a score
-        # error, not a latency — the accuracy half of the cost/accuracy
-        # attribution the flight recorder captures per ask)
-        "engine_push_error_bound",
-    }
-)
+    {"optimize_deviation_magnitude"}
+).union(*(spec.values.values() for spec in OPS.values()))
 
 #: One-line ``# HELP`` text per metric, keyed by series name.  Optional —
 #: :func:`metric_help` generates a fallback for undocumented series — but
@@ -327,23 +341,13 @@ def metric_help(name: str) -> str:
     return METRIC_HELP.get(name, f"Series {name} (see repro/obs/catalog.py).")
 
 
-def is_registered_metric(name: str) -> bool:
-    """Whether ``name`` is a declared metric series."""
-    return name in METRICS
-
-
-def is_registered_span(name: str) -> bool:
-    """Whether ``name`` is a declared tracing span."""
-    return name in SPANS
-
-
 def catalog_errors() -> list[str]:
     """Convention violations inside the catalog itself (empty = clean).
 
     Checked by the test suite so the catalog stays the single source of
     naming truth: every entry must carry a known subsystem prefix,
-    counters must end in ``_total``, and latency histograms in
-    ``_seconds``.
+    counters must end in ``_total``, latency histograms in
+    ``_seconds``, and :data:`OPS` rows feed declared histograms only.
     """
     errors: list[str] = []
     for name in sorted(METRICS):
@@ -367,4 +371,8 @@ def catalog_errors() -> list[str]:
     for name in sorted(METRIC_HELP):
         if name not in METRICS:
             errors.append(f"METRIC_HELP documents undeclared series {name!r}")
+    for name, spec in sorted(OPS.items()):
+        for series in (spec.histogram, *spec.values.values()):
+            if series is not None and series not in HISTOGRAMS:
+                errors.append(f"op {name!r} feeds undeclared histogram {series!r}")
     return errors

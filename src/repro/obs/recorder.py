@@ -22,9 +22,9 @@ renders the post-mortem from the files alone (:mod:`repro.obs.diag`).
 Cost model: recording is one dict build, one deque append, and one
 counter increment on a pre-bound handle — no locks on the hot path (the
 GIL makes a ``deque.append`` atomic), no I/O until a trigger fires.
-When no recorder is armed, instrumented call sites pay a single
-module-global load (``active_recorder() is None``); the throughput
-benchmark asserts the armed overhead stays under 5%.
+Operations reach the ring through :func:`repro.obs.ops.op`; when no
+recorder is armed an op pays a single module-global load for it.  The
+throughput benchmark asserts the armed overhead stays under 5%.
 
 Arming mirrors :mod:`repro.devtools.contracts`: set ``REPRO_FLIGHT_DIR``
 in the environment (CI does, so a failed test run uploads its bundles),
@@ -45,6 +45,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
+from repro.obs.catalog import OPS
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import recent_traces, trace_span
 from repro.utils.sync import serve_exempt
@@ -57,7 +58,6 @@ __all__ = [
     "active_recorder",
     "record_violation",
     "DEFAULT_CAPACITY",
-    "DEFAULT_SLOW_THRESHOLDS",
     "BUNDLE_SCHEMA_VERSION",
 ]
 
@@ -65,15 +65,6 @@ logger = logging.getLogger(__name__)
 
 #: Events the ring retains (a few minutes of busy serving).
 DEFAULT_CAPACITY = 4096
-
-#: Per-operation slow thresholds (seconds) that fire a ``slow_op`` dump.
-#: Keyed by event kind; operations without an entry never self-trigger.
-DEFAULT_SLOW_THRESHOLDS: Mapping[str, float] = {
-    "qa.ask": 0.5,
-    "engine.serve": 0.25,
-    "qa.optimize": 60.0,
-    "wal.append": 0.25,
-}
 
 #: Earliest seconds between two dumps (trigger-storm protection).
 DEFAULT_MIN_DUMP_INTERVAL = 10.0
@@ -134,9 +125,9 @@ class FlightRecorder:
             raise ValueError(f"recorder capacity must be ≥ 1, got {capacity}")
         self.dump_dir = Path(dump_dir)
         self.capacity = capacity
-        self.slow_thresholds: dict[str, float] = dict(
-            DEFAULT_SLOW_THRESHOLDS if slow_thresholds is None else slow_thresholds
-        )
+        if slow_thresholds is None:  # the slow thresholds OPS rows declare
+            slow_thresholds = {k: s.slow for k, s in OPS.items() if s.slow}
+        self.slow_thresholds: dict[str, float] = dict(slow_thresholds)
         self.min_dump_interval = min_dump_interval
         self.max_dumps = max_dumps
         self._registry = registry
@@ -157,11 +148,7 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def record(self, kind: str, **attrs: object) -> None:
         """Append one event (cheap: no lock, no I/O)."""
-        events = self._events
-        if len(events) == self.capacity:
-            self._m_dropped.inc()
-        events.append(RecorderEvent(kind, perf_counter(), attrs))
-        self._m_events.inc()
+        self.record_ended(kind, perf_counter(), None, attrs)
 
     def record_timed(self, kind: str, seconds: float, **attrs: object) -> None:
         """Append a latency-carrying event; slow operations self-trigger.
@@ -170,9 +157,22 @@ class FlightRecorder:
         configured slow threshold and exceeds it, a ``slow_op`` dump is
         triggered (rate-limited like every trigger).
         """
-        self.record(kind, latency=round(seconds, 6), **attrs)
+        self.record_ended(kind, perf_counter(), seconds, attrs)
+
+    def record_ended(
+        self, kind: str, t: float, seconds: "float | None", attrs: dict[str, object]
+    ) -> None:
+        """Append an event that happened at ``t`` (the clock reading an op
+        already took), with a ``latency`` unless ``seconds`` is ``None``."""
+        events = self._events
+        if len(events) == self.capacity:
+            self._m_dropped.inc()
+        if seconds is not None:
+            attrs = {"latency": round(seconds, 6), **attrs}
+        events.append(RecorderEvent(kind, t, attrs))
+        self._m_events.inc()
         threshold = self.slow_thresholds.get(kind)
-        if threshold is not None and seconds > threshold:
+        if threshold is not None and seconds is not None and seconds > threshold:
             self.trigger(
                 "slow_op",
                 detail=f"{kind} took {seconds:.4f}s (threshold {threshold:g}s)",
@@ -258,8 +258,7 @@ class FlightRecorder:
                 json.dump(manifest, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             self._m_dumps.inc()
-            if span.recording:
-                span.set_attrs(bundle=str(bundle), num_events=len(events))
+            span.set_attrs(bundle=str(bundle), num_events=len(events))
             logger.warning("flight recorder dumped %s (%s)", bundle, reason)
             return bundle
 
@@ -289,9 +288,9 @@ _active: "FlightRecorder | None" = None
 def active_recorder() -> "FlightRecorder | None":
     """The armed process-wide recorder, or ``None`` (the default).
 
-    Instrumented call sites do ``rec = active_recorder()`` then guard on
-    ``rec is not None`` so a disarmed process pays one global load and
-    one comparison per seam.
+    :func:`repro.obs.ops.op` and failure-path ``trigger`` sites guard on
+    ``active_recorder() is not None``, so a disarmed process pays one
+    global load and one comparison per seam.
     """
     return _active
 

@@ -74,12 +74,6 @@ class Span:
 
     __slots__ = ("span_id", "name", "attrs", "start", "end", "children")
 
-    #: Real spans record attributes; a sampled-out root does not.  Hot
-    #: paths guard optional attribute work with ``if span.recording:``
-    #: so a skipped request pays one attribute load instead of building
-    #: kwargs for a no-op ``set_attrs``.
-    recording = True
-
     def __init__(self, name: str, attrs: dict) -> None:
         self.span_id = next(_span_ids)
         self.name = name
@@ -271,7 +265,6 @@ class _NoopSpan:
     """
 
     __slots__ = ()
-    recording = False
     name = "<sampled out>"
     attrs: dict = {}
     children: list = []
@@ -289,6 +282,8 @@ class _NoopSpan:
 
     def set_attrs(self, **attrs) -> None:
         pass
+
+    set = set_attrs  # an obs.op whose only live sink was this span
 
     def finish(self) -> None:
         pass

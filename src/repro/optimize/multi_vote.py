@@ -26,7 +26,7 @@ import numpy as np
 from repro.devtools.contracts import check_monotone_deviations, check_weight_bounds
 from repro.errors import SGPModelError
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry, op
 from repro.optimize.apply import apply_edge_weights, solution_edge_weights
 from repro.optimize.encoder import (
     DEFAULT_LOWER,
@@ -100,8 +100,6 @@ def solve_multi_vote(
     sigmoid_w: float = DEFAULT_SIGMOID_W,
     feasibility_filter: bool = True,
     params: "SimilarityParams | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
@@ -131,9 +129,7 @@ def solve_multi_vote(
         unsatisfiable votes.
     params:
         Similarity parameters
-        (:class:`~repro.serving.params.SimilarityParams`); the bare
-        ``max_length``/``restart_prob`` keywords remain as deprecated
-        shims.
+        (:class:`~repro.serving.params.SimilarityParams`).
     Other parameters as in
     :func:`repro.optimize.single_vote.solve_single_votes`.
 
@@ -144,12 +140,10 @@ def solve_multi_vote(
         graph is returned unchanged and the report's ``solution`` is
         ``None``.
     """
-    params = resolve_similarity_params(
-        params, max_length=max_length, restart_prob=restart_prob
-    )
+    params = resolve_similarity_params(params)
     max_length = params.max_length
     restart_prob = params.restart_prob
-    with trace_span("optimize.multi_vote") as span:
+    with op("optimize.multi_vote") as run:
         result = aug if in_place else aug.copy()
         report = MultiVoteReport()
         start = time.perf_counter()
@@ -168,13 +162,13 @@ def solve_multi_vote(
             vote_list = list(kept)
         if not vote_list:
             report.elapsed = time.perf_counter() - start
-            span.set_attrs(num_votes=0, discarded=len(report.discarded_votes))
+            run.set(num_votes=0, discarded=len(report.discarded_votes))
             record_optimize_run(report)
             return result, report
 
         encode_start = time.perf_counter()
         try:
-            with trace_span("optimize.encode", num_votes=len(vote_list)):
+            with op("optimize.encode", num_votes=len(vote_list)):
                 encoded = encode_votes(
                     result,
                     vote_list,
@@ -188,7 +182,7 @@ def solve_multi_vote(
         except SGPModelError:
             # Nothing adjustable within reach of any vote: return unchanged.
             report.elapsed = time.perf_counter() - start
-            span.set_attrs(num_votes=len(vote_list), encodable=False)
+            run.set(num_votes=len(vote_list), encodable=False)
             record_optimize_run(report)
             return result, report
         report.encode_time = time.perf_counter() - encode_start
@@ -234,7 +228,7 @@ def solve_multi_vote(
             )
             for magnitude in deviations:
                 deviation_hist.observe(float(magnitude))
-        span.set_attrs(
+        run.set(
             num_votes=len(vote_list),
             num_constraints=report.num_constraints,
             num_satisfied=report.num_satisfied_constraints,
@@ -250,6 +244,6 @@ def solve_multi_vote(
             normalize=normalize,
         )
         report.elapsed = time.perf_counter() - start
-        span.set_attrs(changed_edges=len(report.changed_edges))
+        run.set(changed_edges=len(report.changed_edges))
         record_optimize_run(report)
         return result, report

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import PersistenceError, VoteError
 from repro.eval.harness import vote_omega_avg
-from repro.obs import trace_span
+from repro.obs import op
 from repro.graph.augmented import AugmentedGraph
 from repro.optimize.multi_vote import solve_multi_vote
 from repro.optimize.split_merge import solve_split_merge
@@ -53,10 +53,10 @@ if TYPE_CHECKING:  # annotation only; the engine is passed in, never built
 class BatchOutcome:
     """One optimization pass over one batch of streamed votes.
 
-    ``edge_keys`` lists the ``(head, tail)`` knowledge-graph edges the
-    solve changed — the optimizer worker reads the solved weights for
-    exactly these keys off its shadow graph when publishing a patch
-    epoch.  ``last_seq`` is the newest WAL sequence the batch covered
+    ``changed_edges`` counts the knowledge-graph edges the solve
+    reported changed (tolerance-filtered); the optimizer worker does not
+    rely on it when publishing — it diffs its shadow graph against the
+    live one.  ``last_seq`` is the newest WAL sequence the batch covered
     (``None`` when the batch carried no tracked sequences), the mark a
     post-publish checkpoint rotates the WAL up to.
     """
@@ -68,7 +68,6 @@ class BatchOutcome:
     omega_avg: float
     elapsed: float
     changed_edges: int
-    edge_keys: tuple = ()
     last_seq: "int | None" = None
 
 
@@ -224,7 +223,6 @@ class OnlineOptimizer:
             omega_avg=vote_omega_avg(self.aug, batch),
             elapsed=run.elapsed,
             changed_edges=changed,
-            edge_keys=tuple(run.changed_edges),
             last_seq=max(batch_seqs) if batch_seqs else None,
         )
         self.history.append(outcome)
@@ -296,7 +294,7 @@ class OnlineOptimizer:
         """Re-buffer already-durable votes, firing flushes as live mode did."""
         if not records:
             return
-        with trace_span("wal.replay") as span:
+        with op("wal.replay") as replay:
             batches_before = len(self.history)
             for record in records:
                 if record.links is not None and not self.aug.is_query(
@@ -319,11 +317,10 @@ class OnlineOptimizer:
                 self._pending_seqs.append(record.seq)
                 if self.policy.should_optimize(self.pending):
                     self.flush()
-            if span.recording:
-                span.set_attrs(
-                    records=len(records),
-                    batches_fired=len(self.history) - batches_before,
-                )
+            replay.set(
+                records=len(records),
+                batches_fired=len(self.history) - batches_before,
+            )
 
     @property
     def pending_seqs(self) -> tuple[int, ...]:

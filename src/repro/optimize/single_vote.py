@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SGPModelError, SGPSolverError
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import trace_span
+from repro.obs import op
 from repro.optimize.apply import apply_edge_weights, solution_edge_weights
 from repro.optimize.encoder import (
     DEFAULT_LOWER,
@@ -102,8 +102,6 @@ def solve_single_votes(
     votes: "VoteSet | list[Vote]",
     *,
     params: "SimilarityParams | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
@@ -122,9 +120,7 @@ def solve_single_votes(
         The vote set ``T``; only ``T⁻`` (negative votes) is used.
     params:
         Similarity parameters
-        (:class:`~repro.serving.params.SimilarityParams`); the bare
-        ``max_length``/``restart_prob`` keywords remain as deprecated
-        shims.
+        (:class:`~repro.serving.params.SimilarityParams`).
     max_iter:
         Passed to :func:`repro.sgp.solver.solve_sgp`.
     normalize:
@@ -137,20 +133,16 @@ def solve_single_votes(
     -------
     (optimized graph, report)
     """
-    params = resolve_similarity_params(
-        params, max_length=max_length, restart_prob=restart_prob
-    )
+    params = resolve_similarity_params(params)
     max_length = params.max_length
     restart_prob = params.restart_prob
-    with trace_span("optimize.single_vote") as span:
+    with op("optimize.single_vote") as run:
         result = aug if in_place else aug.copy()
         report = SingleVoteReport()
         start = time.perf_counter()
         negative = [v for v in votes if v.is_negative]
         for index, vote in enumerate(negative):
-            with trace_span(
-                "optimize.vote", index=index, query=str(vote.query)
-            ) as vote_span:
+            with op("optimize.vote", index=index, query=str(vote.query)) as vote_op:
                 encode_start = time.perf_counter()
                 try:
                     encoded = encode_votes(
@@ -164,13 +156,13 @@ def solve_single_votes(
                         upper=upper,
                     )
                 except SGPModelError as exc:
-                    vote_span.set_attrs(skipped=str(exc))
+                    vote_op.set(skipped=str(exc))
                     report.outcomes.append(
                         VoteOutcome(vote=vote, solution=None, skipped_reason=str(exc))
                     )
                     continue
                 if not encoded.constraint_votes:
-                    vote_span.set_attrs(skipped="no constraints")
+                    vote_op.set(skipped="no constraints")
                     report.outcomes.append(
                         VoteOutcome(
                             vote=vote, solution=None, skipped_reason="no constraints"
@@ -184,7 +176,7 @@ def solve_single_votes(
                 try:
                     solution = solve_sgp(encoded.problem, max_iter=max_iter)
                 except SGPSolverError as exc:
-                    vote_span.set_attrs(skipped=str(exc))
+                    vote_op.set(skipped=str(exc))
                     report.outcomes.append(
                         VoteOutcome(vote=vote, solution=None, skipped_reason=str(exc))
                     )
@@ -196,7 +188,7 @@ def solve_single_votes(
                     solution_edge_weights(encoded, solution),
                     normalize=normalize,
                 )
-                vote_span.set_attrs(
+                vote_op.set(
                     changed_edges=len(changes),
                     solver_nit=solution.nit,
                     max_residual=solution.max_residual,
@@ -205,7 +197,7 @@ def solve_single_votes(
                     VoteOutcome(vote=vote, solution=solution, changed_edges=changes)
                 )
         report.elapsed = time.perf_counter() - start
-        span.set_attrs(
+        run.set(
             num_votes=len(negative),
             num_solved=report.num_solved,
             num_skipped=report.num_skipped,

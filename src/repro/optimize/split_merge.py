@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from repro.clustering.affinity_propagation import cluster_votes
 from repro.clustering.similarity import vote_edge_sets, vote_similarity_matrix
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import trace_span
+from repro.obs import op
 from repro.optimize.apply import apply_edge_weights
 from repro.optimize.encoder import DEFAULT_LOWER, DEFAULT_MARGIN, DEFAULT_UPPER
 from repro.optimize.merge import merge_changes, merged_weights
@@ -109,8 +109,6 @@ def solve_split_merge(
     sigmoid_w: float = DEFAULT_SIGMOID_W,
     feasibility_filter: bool = True,
     params: "SimilarityParams | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
     margin: float = DEFAULT_MARGIN,
     lower: float = DEFAULT_LOWER,
     upper: float = DEFAULT_UPPER,
@@ -133,9 +131,7 @@ def solve_split_merge(
         process pool (the distributed deployment).
     params:
         Similarity parameters
-        (:class:`~repro.serving.params.SimilarityParams`); the bare
-        ``max_length``/``restart_prob`` keywords remain as deprecated
-        shims.
+        (:class:`~repro.serving.params.SimilarityParams`).
     Remaining parameters as in
     :func:`repro.optimize.multi_vote.solve_multi_vote`, applied to every
     per-cluster solve.
@@ -144,23 +140,21 @@ def solve_split_merge(
     -------
     (optimized graph, report)
     """
-    params = resolve_similarity_params(
-        params, max_length=max_length, restart_prob=restart_prob
-    )
-    with trace_span("optimize.split_merge") as span:
+    params = resolve_similarity_params(params)
+    with op("optimize.split_merge") as run:
         result = aug if in_place else aug.copy()
         report = SplitMergeReport()
         start = time.perf_counter()
         vote_list = list(votes)
         if not vote_list:
             report.elapsed = time.perf_counter() - start
-            span.set_attrs(num_votes=0)
+            run.set(num_votes=0)
             record_optimize_run(report)
             return result, report
 
         # --- split -------------------------------------------------------
         split_start = time.perf_counter()
-        with trace_span("optimize.split", num_votes=len(vote_list)) as split_span:
+        with op("optimize.split", num_votes=len(vote_list)) as split_op:
             edge_sets = vote_edge_sets(
                 result, vote_list, max_length=params.max_length
             )
@@ -168,7 +162,7 @@ def solve_split_merge(
             clusters = cluster_votes(
                 similarity, preference=preference, damping=damping
             )
-            split_span.set_attrs(num_clusters=len(clusters))
+            split_op.set(num_clusters=len(clusters))
         report.clusters = clusters
         report.split_time = time.perf_counter() - split_start
 
@@ -202,7 +196,7 @@ def solve_split_merge(
 
         # --- merge ---------------------------------------------------------
         merge_start = time.perf_counter()
-        with trace_span("optimize.merge", num_clusters=len(results)) as merge_span:
+        with op("optimize.merge", num_clusters=len(results)) as merge_op:
             contributing = [
                 (r.deltas, r.total_weight or r.num_votes) for r in results
             ]
@@ -216,10 +210,10 @@ def solve_split_merge(
                 report.changed_edges = apply_edge_weights(
                     result, new_weights, normalize=normalize
                 )
-            merge_span.set_attrs(changed_edges=len(report.changed_edges))
+            merge_op.set(changed_edges=len(report.changed_edges))
         report.merge_time = time.perf_counter() - merge_start
         report.elapsed = time.perf_counter() - start
-        span.set_attrs(
+        run.set(
             num_votes=len(vote_list),
             num_clusters=report.num_clusters,
             avg_cluster_size=report.average_cluster_size,

@@ -18,7 +18,6 @@ survive each write.
 from __future__ import annotations
 
 import re
-import time
 from pathlib import Path
 
 from repro.errors import GraphError, PersistenceError
@@ -28,7 +27,7 @@ from repro.graph.persistence import (
     read_augmented_graph_meta,
     save_augmented_graph,
 )
-from repro.obs import MetricsRegistry, get_registry, trace_span
+from repro.obs import MetricsRegistry, Ops, get_registry
 
 __all__ = ["SnapshotStore"]
 
@@ -65,7 +64,7 @@ class SnapshotStore:
         self._m_writes = self.registry.counter("snapshot_writes_total")
         self._m_invalid = self.registry.counter("snapshot_invalid_total")
         self._g_last_seq = self.registry.gauge("snapshot_last_seq")
-        self._h_write = self.registry.histogram("snapshot_write_seconds")
+        self._ops = Ops(self.registry, "snapshot.write")
 
     @property
     def directory(self) -> Path:
@@ -92,15 +91,13 @@ class SnapshotStore:
             raise PersistenceError(
                 f"last_applied_seq must be ≥ 0, got {last_applied_seq}"
             )
-        started = time.perf_counter()
         path = self._directory / f"snapshot-{last_applied_seq:016d}.json"
-        with trace_span("snapshot.write", seq=last_applied_seq):
+        with self._ops.op("snapshot.write", seq=last_applied_seq):
             save_augmented_graph(
                 aug, path, meta={"last_applied_seq": last_applied_seq}
             )
         self._m_writes.inc()
         self._g_last_seq.set(last_applied_seq)
-        self._h_write.observe(time.perf_counter() - started)
         self.prune()
         return path
 

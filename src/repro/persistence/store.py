@@ -28,14 +28,12 @@ Crash windows and why each is safe:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import MetricsRegistry, get_registry, trace_span
-from repro.obs.recorder import active_recorder
+from repro.obs import MetricsRegistry, Ops, event, get_registry
 from repro.persistence.snapshot import SnapshotStore
 from repro.persistence.wal import VoteWAL, WalRecord
 from repro.votes.types import Vote
@@ -101,7 +99,7 @@ class DurableStore:
         self.wal.ensure_seq_at_least(self.snapshots.newest_seq())
         self._m_replayed = self.registry.counter("wal_replayed_total")
         self._m_recoveries = self.registry.counter("snapshot_recoveries_total")
-        self._h_recover = self.registry.histogram("snapshot_recover_seconds")
+        self._ops = Ops(self.registry, "snapshot.recover")
         self._g_wal_lag = self.registry.gauge("wal_lag_records")
         self._g_snapshot_age = self.registry.gauge("snapshot_age_seconds")
         self._refresh_staleness()
@@ -158,19 +156,16 @@ class DurableStore:
         path = self.snapshots.write(aug, last_applied_seq=last_applied_seq)
         self.wal.rotate(up_to_seq=last_applied_seq)
         self._refresh_staleness()
-        rec = active_recorder()
-        if rec is not None:
-            rec.record(
-                "wal.checkpoint",
-                last_applied_seq=last_applied_seq,
-                wal_records_kept=len(self.wal),
-            )
+        event(
+            "wal.checkpoint",
+            last_applied_seq=last_applied_seq,
+            wal_records_kept=len(self.wal),
+        )
         return path
 
     def recover(self) -> RecoveredState:
         """Load the newest valid snapshot and the WAL tail past it."""
-        started = time.perf_counter()
-        with trace_span("snapshot.recover") as span:
+        with self._ops.op("snapshot.recover") as recover:
             latest = self.snapshots.latest()
             if latest is None:
                 aug: "AugmentedGraph | None" = None
@@ -178,25 +173,16 @@ class DurableStore:
             else:
                 aug, snapshot_seq = latest
             tail = tuple(self.wal.records(after_seq=snapshot_seq))
-            if span.recording:
-                span.set_attrs(
-                    snapshot_seq=snapshot_seq,
-                    tail_records=len(tail),
-                    has_snapshot=aug is not None,
-                )
-        self._m_recoveries.inc()
-        if tail:
-            self._m_replayed.inc(len(tail))
-        self._h_recover.observe(time.perf_counter() - started)
-        self._refresh_staleness()
-        rec = active_recorder()
-        if rec is not None:
-            rec.record(
-                "wal.recover",
+            recover.set(
                 snapshot_seq=snapshot_seq,
                 tail_records=len(tail),
                 has_snapshot=aug is not None,
             )
+        self._m_recoveries.inc()
+        if tail:
+            self._m_replayed.inc(len(tail))
+        self._refresh_staleness()
+        event("wal.recover", **recover.attrs)
         return RecoveredState(aug=aug, snapshot_seq=snapshot_seq, tail=tail)
 
     def close(self) -> None:

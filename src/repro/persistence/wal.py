@@ -42,15 +42,13 @@ import json
 import logging
 import os
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import PersistenceError
 from repro.utils.sync import mutator
 from repro.graph.persistence import fsync_directory
-from repro.obs import MetricsRegistry, get_registry
-from repro.obs.recorder import active_recorder
+from repro.obs import MetricsRegistry, Ops, get_registry
 from repro.votes.types import Vote
 
 __all__ = ["WalRecord", "VoteWAL", "vote_to_payload", "vote_from_payload"]
@@ -248,7 +246,7 @@ class VoteWAL:
         self._m_rotations = self.registry.counter("wal_rotations_total")
         self._m_torn = self.registry.counter("wal_torn_records_total")
         self._g_last_seq = self.registry.gauge("wal_last_seq")
-        self._h_append = self.registry.histogram("wal_append_seconds")
+        self._ops = Ops(self.registry, "wal.")
 
         if self._path.exists():
             self._records, valid_end, torn = _scan(self._path)
@@ -323,8 +321,7 @@ class VoteWAL:
         if links is not None:
             for entity, _weight in links:
                 _check_scalar(entity, "vote query link entity")
-        started = time.perf_counter()
-        with self._wal_lock:
+        with self._ops.op("wal.append") as logged, self._wal_lock:
             if self._file.closed:
                 raise PersistenceError(f"{self._path}: WAL is closed")
             seq = self._last_seq + 1
@@ -334,13 +331,9 @@ class VoteWAL:
             os.fsync(self._file.fileno())
             self._records.append(record)
             self._last_seq = seq
+            logged.set(seq=seq)
         self._m_appends.inc()
         self._g_last_seq.set(seq)
-        elapsed = time.perf_counter() - started
-        self._h_append.observe(elapsed)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed("wal.append", elapsed, seq=seq)
         return seq
 
     def rotate(self, *, up_to_seq: int) -> int:

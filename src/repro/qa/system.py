@@ -14,30 +14,26 @@ against an unchanged graph cost a cache lookup instead of an ``O(|E|)``
 matrix rebuild, and :meth:`QASystem.ask_many` answers whole batches
 with one stacked propagation.  Similarity parameters travel as one
 :class:`~repro.serving.params.SimilarityParams` object (which also
-selects the propagation backend); the historical
-``k``/``max_length``/``restart_prob`` keyword arguments are removed and
-raise ``TypeError`` with a migration hint.
+selects the propagation backend).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from time import perf_counter
 
 from repro.errors import CorpusError, EvaluationError, VoteError
 from repro.eval.harness import EvaluationResult, evaluate_test_set
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import WeightedDiGraph
-from repro.obs import get_registry, trace_span
-from repro.obs.recorder import active_recorder
+from repro.obs import Ops, event, get_registry
 from repro.optimize.multi_vote import solve_multi_vote
 from repro.optimize.report import OptimizeReport
 from repro.optimize.single_vote import solve_single_votes
 from repro.optimize.split_merge import solve_split_merge
 from repro.qa.entities import EntityVocabulary
-from repro.serving.engine import DEFAULT_CACHE_SIZE, EngineStats, SimilarityEngine
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.engine import DEFAULT_CACHE_SIZE, SimilarityEngine
+from repro.serving.params import SimilarityParams
 from repro.similarity.top_k import rank_answers
 from repro.utils.sync import mutator, serve_path
 from repro.votes.types import Vote, VoteSet
@@ -65,9 +61,6 @@ class QASystem:
         for benchmarking and as an escape hatch.
     engine_cache_size:
         Bound on the engine's per-query score LRU.
-    k, max_length, restart_prob:
-        Removed; passing any of them raises ``TypeError`` with a
-        migration hint (use ``params`` instead).
     """
 
     def __init__(
@@ -78,13 +71,8 @@ class QASystem:
         params: "SimilarityParams | None" = None,
         use_engine: bool = True,
         engine_cache_size: int = DEFAULT_CACHE_SIZE,
-        k: "int | None" = None,
-        max_length: "int | None" = None,
-        restart_prob: "float | None" = None,
     ) -> None:
-        self._params = resolve_similarity_params(
-            params, k=k, max_length=max_length, restart_prob=restart_prob
-        )
+        self._params = params if params is not None else SimilarityParams()
         self._aug = AugmentedGraph(kg)
         self._vocabulary = vocabulary
         self._engine: "SimilarityEngine | None" = (
@@ -103,7 +91,7 @@ class QASystem:
         registry = get_registry()
         self._m_asks = registry.counter("qa_asks_total")
         self._m_votes = registry.counter("qa_votes_total")
-        self._h_ask = registry.histogram("qa_ask_seconds")
+        self._ops = Ops(registry, "qa.")
 
     # ------------------------------------------------------------------
     # parameters
@@ -155,10 +143,6 @@ class QASystem:
     def engine(self) -> "SimilarityEngine | None":
         """The serving engine (``None`` when ``use_engine=False``)."""
         return self._engine
-
-    def serving_stats(self) -> "EngineStats | None":
-        """Engine observability snapshot, or ``None`` without an engine."""
-        return self._engine.stats() if self._engine is not None else None
 
     # ------------------------------------------------------------------
     # corpus attachment
@@ -224,8 +208,7 @@ class QASystem:
         """
         if question_id is None:
             question_id = self._next_question_id()
-        started = perf_counter()  # span.duration is 0 when sampled out
-        with trace_span("qa.ask") as span:
+        with self._ops.op("qa.ask", question_id=question_id) as ask:
             self._attach_question(question, question_id)
             ranked = rank_answers(
                 self._aug,
@@ -233,21 +216,8 @@ class QASystem:
                 params=self._params,
                 engine=self._engine,
             )
-            if span.recording:
-                span.set_attrs(
-                    question_id=question_id, num_answers=len(ranked)
-                )
+            ask.set(num_answers=len(ranked))
         self._m_asks.inc()
-        elapsed = perf_counter() - started
-        self._h_ask.observe(elapsed)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "qa.ask",
-                elapsed,
-                question_id=question_id,
-                num_answers=len(ranked),
-            )
         return self._record_shown(question_id, ranked)
 
     @serve_path
@@ -276,8 +246,7 @@ class QASystem:
             ``question_id -> ranked (doc, score) list``, in input order;
             shown lists are recorded for :meth:`vote` like ``ask``'s.
         """
-        started = perf_counter()
-        with trace_span("qa.ask_many") as span:
+        with self._ops.op("qa.ask_many", num_questions=len(questions)) as ask:
             attached: list[str] = []
             for question_id, text in questions.items():
                 try:
@@ -287,10 +256,7 @@ class QASystem:
                         continue
                     raise
                 attached.append(question_id)
-            if span.recording:
-                span.set_attrs(
-                    num_questions=len(questions), num_attached=len(attached)
-                )
+            ask.set(num_attached=len(attached))
             if not attached:
                 return {}
             if self._engine is not None:
@@ -317,16 +283,6 @@ class QASystem:
                     for question_id in attached
                 }
         self._m_asks.inc(len(attached))
-        elapsed = perf_counter() - started
-        self._h_ask.observe(elapsed)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "qa.ask_many",
-                elapsed,
-                num_questions=len(questions),
-                num_attached=len(attached),
-            )
         return results
 
     @mutator
@@ -349,14 +305,12 @@ class QASystem:
         vote = Vote(query=question_id, ranked_answers=shown, best_answer=best_doc)
         self._votes.add(vote)
         self._m_votes.inc()
-        rec = active_recorder()
-        if rec is not None:
-            rec.record(
-                "qa.vote",
-                question_id=question_id,
-                positive=bool(shown and shown[0] == best_doc),
-                pending=len(self._votes),
-            )
+        event(
+            "qa.vote",
+            question_id=question_id,
+            positive=bool(shown and shown[0] == best_doc),
+            pending=len(self._votes),
+        )
         return vote
 
     @property
@@ -388,9 +342,7 @@ class QASystem:
             Forwarded to the chosen driver (``lambda1``, ``sigmoid_w``,
             ``max_iter``, ``num_workers``, ...).  Similarity
             parameters default to this system's ``params``; override
-            with ``params=SimilarityParams(...)`` (the bare
-            ``max_length``/``restart_prob`` keywords are removed and
-            raise ``TypeError``).
+            with ``params=SimilarityParams(...)``.
 
         Returns
         -------
@@ -402,17 +354,11 @@ class QASystem:
         """
         if not len(self._votes):
             raise VoteError("no pending votes to optimize against")
-        num_votes = len(self._votes)
-        started = perf_counter()
-        options["params"] = resolve_similarity_params(
-            options.pop("params", None),
-            max_length=options.pop("max_length", None),
-            restart_prob=options.pop("restart_prob", None),
-            default=self._params,
-        )
-        with trace_span(
+        if options.get("params") is None:
+            options["params"] = self._params
+        with self._ops.op(
             "qa.optimize", strategy=strategy, num_votes=len(self._votes)
-        ) as span:
+        ) as run:
             if strategy == "multi":
                 _, report = solve_multi_vote(
                     self._aug, self._votes, in_place=True, **options
@@ -430,25 +376,13 @@ class QASystem:
                     f"unknown strategy {strategy!r}; expected 'multi', "
                     f"'single', or 'split-merge'"
                 )
-            span.set_attrs(
-                changed_edges=report.num_changed_edges,
-                elapsed=round(report.elapsed, 6),
-            )
+            run.set(changed_edges=report.num_changed_edges)
             if self._engine is not None:
                 # Fold the solve's weight patches into one
                 # delta-revalidation pass now, off the serve path — the
                 # first post-optimize ask hits a warm cache instead of
                 # repropagating.
                 self._engine.revalidate()
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "qa.optimize",
-                perf_counter() - started,
-                strategy=strategy,
-                num_votes=num_votes,
-                changed_edges=report.num_changed_edges,
-            )
         if clear_votes:
             self._votes = VoteSet()
         return report

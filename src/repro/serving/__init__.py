@@ -11,7 +11,8 @@ This subpackage treats it as a long-lived serving asset instead:
   versioned cached sparse adjacency matrix maintained incrementally
   from graph mutation events (in-place weight patches, CSR row appends
   for new documents, zero-cost query attach/detach), a bounded LRU of
-  per-query score vectors, batched serving, and observability counters;
+  per-query score vectors, batched serving, and ``engine_*`` registry
+  series;
 - :mod:`repro.serving.delta` — :class:`DeltaCorrector`, the exact
   delta-propagation correction that keeps the engine's cached score
   vectors warm across sparse optimizer weight patches instead of
@@ -34,7 +35,6 @@ from repro.serving.delta import (
 )
 from repro.serving.engine import (
     DEFAULT_CACHE_SIZE,
-    EngineStats,
     SimilarityEngine,
 )
 #: Re-exported lazily (PEP 562): :mod:`repro.serving.worker` imports the
@@ -65,6 +65,5 @@ __all__ = [
     "resolve_similarity_params",
     "DeltaCorrector",
     "DeltaFallbackError",
-    "EngineStats",
     "SimilarityEngine",
 ]

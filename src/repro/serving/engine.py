@@ -33,9 +33,10 @@ asset:
   localization to pay off, the engine falls back to full propagation
   with an honest epoch bump (cold invalidation, bitwise identical to
   the pre-delta behaviour);
-- :meth:`SimilarityEngine.stats` exposes observability counters (cache
-  hits/misses, patches, row appends, rebuilds avoided, per-stage
-  timings) for serving dashboards and the throughput benchmark.
+- every engine reports into the metrics registry as ``engine_*``
+  series labelled ``engine="<n>"`` (cache hits/misses, patches, row
+  appends, rebuilds avoided, per-stage latency histograms), read by
+  serving dashboards and the throughput benchmark.
 
 Batched serving (:meth:`score_batch`) stacks the seed vectors of many
 queries into one dense block and shares the ``L`` sparse matrix
@@ -59,10 +60,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -76,26 +75,20 @@ from repro.devtools.contracts import (
 from repro.errors import EvaluationError, NodeNotFoundError
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.digraph import Node
-from repro.obs import MetricsRegistry, get_registry, trace_span
+from repro.obs import MetricsRegistry, Ops, event, get_registry
 from repro.obs.recorder import active_recorder
 from repro.serving.delta import (
     DEFAULT_DELTA_DENSITY_THRESHOLD,
     DeltaCorrector,
     DeltaFallbackError,
 )
-from repro.serving.params import SimilarityParams, resolve_similarity_params
+from repro.serving.params import SimilarityParams
 from repro.utils.sync import mutator, serve_path
 from repro.similarity.backend import PropagationBackend, resolve_backend
 from repro.similarity.push import PropagationResult, amplification_bound
 
 #: Default bound on the per-query score-vector LRU cache.
 DEFAULT_CACHE_SIZE = 256
-
-#: Buckets for ``engine_push_error_bound`` (accounted dropped mass per
-#: push query, a score error on [0, 1) — powers of ten, not latencies).
-PUSH_ERROR_BOUND_BUCKETS: tuple[float, ...] = (
-    1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0,
-)
 
 #: A single revalidation re-pushing this many cached entries is a
 #: "repush storm" — the optimizer's patch frontier keeps hitting the
@@ -104,65 +97,6 @@ REPUSH_STORM_THRESHOLD = 8
 
 #: Distinguishes the metric series of multiple engines in one process.
 _ENGINE_SEQ = itertools.count()
-
-
-@dataclass
-class EngineStats:
-    """Point-in-time snapshot of the engine's observability counters.
-
-    Since the :mod:`repro.obs` migration this is a *compatibility view*:
-    the live counts are registry metrics (``engine_*`` series labeled
-    with this engine's id); :meth:`SimilarityEngine.stats` materializes
-    them back into this dataclass so existing dashboards, benchmarks,
-    and tests keep working unchanged.
-    """
-
-    #: Graph version the engine last served against.
-    graph_version: int = 0
-    #: Full matrix (re)builds performed.
-    builds: int = 0
-    #: Serves that found the cached matrix usable (no rebuild needed).
-    rebuilds_avoided: int = 0
-    #: In-place CSR weight patches applied (optimizer updates).
-    weight_patches: int = 0
-    #: CSR rows appended for newly attached answer/document nodes.
-    rows_appended: int = 0
-    #: Buffered mutation events that concerned transient query nodes
-    #: and were skipped without touching the matrix.
-    query_events_ignored: int = 0
-    #: Score-cache hits / misses.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Current number of cached score vectors.
-    cache_entries: int = 0
-    #: Delta-revalidation passes that kept the cache warm across a
-    #: weight patch, and the cached vectors corrected by them.
-    delta_revalidations: int = 0
-    delta_entries_patched: int = 0
-    #: Patches too dense for delta propagation (cold invalidation).
-    delta_fallbacks: int = 0
-    #: Cached vectors carried verbatim to a new epoch (answer appends
-    #: and zero-delta patches cannot change any cached score).
-    delta_rekeys: int = 0
-    #: Single-query / batched serve calls.
-    serves: int = 0
-    batch_serves: int = 0
-    #: Push-backend serves, local re-pushes after weight patches, and
-    #: cached push entries carried to a new epoch without recomputation
-    #: (touched set provably disjoint from the patched edges).
-    push_serves: int = 0
-    push_repushes: int = 0
-    push_rekeys: int = 0
-    #: Total edges traversed by the push backend across serves and
-    #: re-pushes (the series the sublinearity claim is asserted on).
-    push_edges_touched: float = 0.0
-    #: Cumulative seconds spent (re)building the matrix.
-    build_time: float = 0.0
-    #: Cumulative seconds spent in sparse propagation.
-    propagate_time: float = 0.0
-    #: Cumulative seconds spent delta-revalidating the score cache.
-    delta_time: float = 0.0
-    timings: dict = field(default_factory=dict)
 
 
 class SimilarityEngine:
@@ -253,8 +187,8 @@ class SimilarityEngine:
         self._events: list[tuple] = []
         self._listener = self._on_mutation
         aug.graph.add_listener(self._listener)
-        # Metric handles are bound once here so hot-path increments are
-        # a single attribute add, never a registry lookup.
+        # Metric handles and operations are bound once here so hot-path
+        # increments are a single attribute add, never a registry lookup.
         self.registry = registry if registry is not None else get_registry()
         self.engine_label = str(next(_ENGINE_SEQ))
         label = {"engine": self.engine_label}
@@ -286,19 +220,7 @@ class SimilarityEngine:
         )
         self._g_cache_entries = self.registry.gauge("engine_cache_entries", **label)
         self._g_version = self.registry.gauge("engine_graph_version", **label)
-        self._h_build = self.registry.histogram("engine_build_seconds", **label)
-        self._h_propagate = self.registry.histogram(
-            "engine_propagate_seconds", **label
-        )
-        self._h_delta = self.registry.histogram("engine_delta_seconds", **label)
-        self._h_push_edges = self.registry.histogram(
-            "engine_push_edges_touched", **label
-        )
-        self._h_push_error = self.registry.histogram(
-            "engine_push_error_bound",
-            buckets=PUSH_ERROR_BOUND_BUCKETS,
-            **label,
-        )
+        self._ops = Ops(self.registry, "engine.", **label)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -324,45 +246,6 @@ class SimilarityEngine:
     def cache_size(self) -> int:
         """The configured bound on the per-query score LRU."""
         return self._cache_size
-
-    def stats(self) -> EngineStats:
-        """A snapshot of the observability counters.
-
-        Materialized from this engine's registry series — the legacy
-        :class:`EngineStats` view and the registry snapshot agree on
-        every counter by construction.
-        """
-        self._g_cache_entries.set(len(self._cache))
-        self._g_version.set(self.version)
-        return EngineStats(
-            graph_version=self.version,
-            builds=int(self._m_builds.value),
-            rebuilds_avoided=int(self._m_rebuilds_avoided.value),
-            weight_patches=int(self._m_weight_patches.value),
-            rows_appended=int(self._m_rows_appended.value),
-            query_events_ignored=int(self._m_query_events.value),
-            cache_hits=int(self._m_cache_hits.value),
-            cache_misses=int(self._m_cache_misses.value),
-            cache_entries=len(self._cache),
-            delta_revalidations=int(self._m_delta_revalidations.value),
-            delta_entries_patched=int(self._m_delta_entries.value),
-            delta_fallbacks=int(self._m_delta_fallbacks.value),
-            delta_rekeys=int(self._m_delta_rekeys.value),
-            serves=int(self._m_serves.value),
-            batch_serves=int(self._m_batch_serves.value),
-            push_serves=int(self._m_push_serves.value),
-            push_repushes=int(self._m_push_repushes.value),
-            push_rekeys=int(self._m_push_rekeys.value),
-            push_edges_touched=self._h_push_edges.sum,
-            build_time=self._h_build.sum,
-            propagate_time=self._h_propagate.sum,
-            delta_time=self._h_delta.sum,
-            timings={
-                "build": self._h_build.sum,
-                "propagate": self._h_propagate.sum,
-                "delta": self._h_delta.sum,
-            },
-        )
 
     # ------------------------------------------------------------------
     # mutation feed
@@ -406,6 +289,7 @@ class SimilarityEngine:
             if not events:
                 self._m_rebuilds_avoided.inc()
                 return
+            self._g_version.set(self.version)
             patches: list[tuple[int, float]] = []
             patch_edges: dict[int, tuple[Node, Node]] = {}
             new_answers: list[Node] = []
@@ -685,12 +569,11 @@ class SimilarityEngine:
         dense_ok = True
         if dense_keys:
             max_length = max(key[3] for key in dense_keys)
-            started = time.perf_counter()
-            with trace_span(
+            with self._ops.op(
                 "engine.delta",
                 edges=int(changed.size),
                 entries=len(dense_keys),
-            ) as span:
+            ) as delta:
                 try:
                     rows = np.fromiter(
                         (
@@ -754,22 +637,22 @@ class SimilarityEngine:
                             )
                         vector.setflags(write=False)
                         corrected[key] = vector
-                    span.set_attrs(frontier_nnz=corrector.frontier_nnz)
+                    delta.set(frontier_nnz=corrector.frontier_nnz)
                 except (DeltaFallbackError, KeyError) as exc:
                     dense_ok = False
                     corrected.clear()
                     self._m_delta_fallbacks.inc()
-                    span.set_attrs(fallback=str(exc) or type(exc).__name__)
+                    detail = str(exc) or type(exc).__name__
+                    delta.set(fallback=detail)
+                    event(
+                        "engine.delta_fallback",
+                        engine=self.engine_label,
+                        entries_dropped=len(dense_keys),
+                        edges_changed=int(changed.size),
+                        error=detail,
+                    )
                     rec = active_recorder()
                     if rec is not None:
-                        detail = str(exc) or type(exc).__name__
-                        rec.record(
-                            "engine.delta_fallback",
-                            engine=self.engine_label,
-                            entries_dropped=len(dense_keys),
-                            edges_changed=int(changed.size),
-                            error=detail,
-                        )
                         rec.trigger(
                             "delta_fallback",
                             detail=(
@@ -778,7 +661,6 @@ class SimilarityEngine:
                                 f"({detail})"
                             ),
                         )
-            self._h_delta.observe(time.perf_counter() - started)
             if dense_ok:
                 self._m_delta_revalidations.inc()
                 self._m_delta_entries.inc(len(dense_keys))
@@ -869,27 +751,26 @@ class SimilarityEngine:
             self._cache = new_cache
             self._push_meta = new_meta
         self._g_cache_entries.set(len(new_cache))
+        event(
+            "engine.revalidate",
+            engine=self.engine_label,
+            edges_changed=int(changed.size),
+            entries_patched=len(corrected),
+            dense_fallback=not dense_ok,
+            push_repushes=len(repushed),
+            push_rekeys=push_rekeyed,
+            entries_kept=len(new_cache),
+        )
         rec = active_recorder()
-        if rec is not None:
-            rec.record(
-                "engine.revalidate",
-                engine=self.engine_label,
-                edges_changed=int(changed.size),
-                entries_patched=len(corrected),
-                dense_fallback=not dense_ok,
-                push_repushes=len(repushed),
-                push_rekeys=push_rekeyed,
-                entries_kept=len(new_cache),
+        if rec is not None and len(repushed) >= REPUSH_STORM_THRESHOLD:
+            rec.trigger(
+                "repush_storm",
+                detail=(
+                    f"engine {self.engine_label}: one revalidation "
+                    f"re-pushed {len(repushed)} cached entries "
+                    f"(threshold {REPUSH_STORM_THRESHOLD})"
+                ),
             )
-            if len(repushed) >= REPUSH_STORM_THRESHOLD:
-                rec.trigger(
-                    "repush_storm",
-                    detail=(
-                        f"engine {self.engine_label}: one revalidation "
-                        f"re-pushed {len(repushed)} cached entries "
-                        f"(threshold {REPUSH_STORM_THRESHOLD})"
-                    ),
-                )
         return True
 
     @mutator
@@ -902,8 +783,7 @@ class SimilarityEngine:
         :meth:`~repro.graph.digraph.WeightedDiGraph.adjacency_matrix`,
         so propagation results match it bitwise.
         """
-        started = time.perf_counter()
-        with self._state_lock, trace_span("engine.rebuild") as span:
+        with self._state_lock, self._ops.op("engine.rebuild") as rebuild:
             graph = self._aug.graph
             queries = self._aug.query_nodes
             nodes = [node for node in graph.nodes() if node not in queries]
@@ -942,10 +822,10 @@ class SimilarityEngine:
             self._push_adj = None
             self._push_map = None
             self._epoch += 1
-            span.set_attrs(nodes=n, edges=len(data))
+            self._g_version.set(self.version)
+            rebuild.set(nodes=n, edges=len(data))
         check_finite_csr_data(self._matrix.data, seam="engine.rebuild")
         self._m_builds.inc()
-        self._h_build.observe(time.perf_counter() - started)
 
     @mutator
     def _append_answer_rows(self, answers: Sequence[Node]) -> None:
@@ -955,8 +835,7 @@ class SimilarityEngine:
         their in-links land in the single new row, which makes CSR row
         append the exact incremental form of a rebuild.
         """
-        started = time.perf_counter()
-        with self._state_lock:
+        with self._ops.op("engine.append_rows"), self._state_lock:
             matrix = self._matrix
             data_parts = [matrix.data]
             index_parts = [matrix.indices]
@@ -992,7 +871,6 @@ class SimilarityEngine:
             self._push_map = None
         check_finite_csr_data(self._matrix.data, seam="engine.append_rows")
         self._m_rows_appended.inc(len(answers))
-        self._h_build.observe(time.perf_counter() - started)
 
     def _ensure_push_state(self) -> tuple[sparse.csr_matrix, float]:
         """The push backend's out-edge CSR + amplification bound ρ.
@@ -1146,15 +1024,11 @@ class SimilarityEngine:
         operation-for-operation from ``t = 1`` on, so the result is
         bitwise equal to a cold recompute on the full graph.
         """
-        started = time.perf_counter()
-        with trace_span(
-            "engine.propagate", batch=1, max_length=params.max_length
-        ):
+        with self._ops.op("engine.propagate", batch=1, max_length=params.max_length):
             seed_idx, seed_weights = self._seed_arrays(links)
             result = backend.propagate(
                 self._matrix, seed_idx, seed_weights, target_idx, params=params
             )
-        self._h_propagate.observe(time.perf_counter() - started)
         return result.scores
 
     def _propagate_many(
@@ -1165,8 +1039,7 @@ class SimilarityEngine:
         backend,
     ) -> np.ndarray:
         """Stacked propagation: one dense block, ``L`` sparse products."""
-        started = time.perf_counter()
-        with trace_span(
+        with self._ops.op(
             "engine.propagate",
             batch=len(link_columns),
             max_length=params.max_length,
@@ -1177,7 +1050,6 @@ class SimilarityEngine:
             result = backend.propagate_batch(
                 self._matrix, seed_columns, target_idx, params=params
             )
-        self._h_propagate.observe(time.perf_counter() - started)
         return result.scores
 
     def _push_compute(
@@ -1193,10 +1065,7 @@ class SimilarityEngine:
         and, with contracts armed, checks the pushed vector against a
         cold dense recompute within the result's own error bound.
         """
-        started = time.perf_counter()
-        with trace_span(
-            "engine.push", batch=1, max_length=params.max_length
-        ) as span:
+        with self._ops.op("engine.push", batch=1, max_length=params.max_length) as push:
             # Capture the in-matrix and the push state under one lock
             # hold so both belong to the same epoch (a concurrent
             # publish between the two reads would mix epochs).
@@ -1213,13 +1082,10 @@ class SimilarityEngine:
                 out_matrix=out_matrix,
                 rho=rho,
             )
-            span.set_attrs(
+            push.set(
                 edges_touched=int(result.edges_touched),
                 error_bound=float(result.error_bound),
             )
-        self._h_propagate.observe(time.perf_counter() - started)
-        self._h_push_edges.observe(float(result.edges_touched))
-        self._h_push_error.observe(float(result.error_bound))
         if contracts_enabled():
             links_key = tuple(links.items())
             check_push_scores(
@@ -1280,61 +1146,40 @@ class SimilarityEngine:
         target_list = self._resolve_targets(targets)
         self._m_serves.inc()
         self._flush()
+        key = self._cache_key(links, target_list, params)
         # Flight-recorder attribution: one event per serve with the
         # backend, cache outcome, epoch, and (for push) the query's own
-        # cost/accuracy numbers.  Disarmed cost: one load + comparison.
-        rec = active_recorder()
-        started = time.perf_counter() if rec is not None else 0.0
-        key = self._cache_key(links, target_list, params)
-        cached = self._cache_get(key)
-        if cached is not None:
-            if rec is not None:
-                rec.record_timed(
-                    "engine.serve",
-                    time.perf_counter() - started,
-                    engine=self.engine_label,
-                    backend=params.backend,
-                    cache="hit",
-                    epoch=self._epoch,
-                )
-            return {t: float(s) for t, s in zip(target_list, cached)}
-        missing = [e for e in links if e not in self._index]
-        if missing:
-            raise NodeNotFoundError(missing[0])
-        target_idx = self._target_indices(target_list)
-        result: "PropagationResult | None" = None
-        if getattr(backend, "uses_out_matrix", False):
-            result = self._serve_push(links, target_idx, params, backend, key)
-            vector = result.scores
-        elif getattr(backend, "supports_matrix", False):
-            vector = self._propagate_one(links, target_idx, params, backend)
-            self._cache_put(key, vector)
-        else:
-            raise EvaluationError(
-                f"backend {params.backend!r} has no matrix-level kernel; "
-                f"use the graph-level API (repro.similarity.backend."
-                f"get_backend({params.backend!r}).scores(...)) instead"
-            )
-        if rec is not None:
-            if result is not None:
-                rec.record_timed(
-                    "engine.serve",
-                    time.perf_counter() - started,
-                    engine=self.engine_label,
-                    backend=params.backend,
-                    cache="miss",
-                    epoch=self._epoch,
+        # cost/accuracy numbers.
+        with self._ops.op(
+            "engine.serve",
+            engine=self.engine_label,
+            backend=params.backend,
+            epoch=key[-1],
+        ) as serve:
+            cached = self._cache_get(key)
+            if cached is not None:
+                serve.set(cache="hit")
+                return {t: float(s) for t, s in zip(target_list, cached)}
+            serve.set(cache="miss")
+            missing = [e for e in links if e not in self._index]
+            if missing:
+                raise NodeNotFoundError(missing[0])
+            target_idx = self._target_indices(target_list)
+            if getattr(backend, "uses_out_matrix", False):
+                result = self._serve_push(links, target_idx, params, backend, key)
+                serve.set(
                     edges_touched=int(result.edges_touched),
                     error_bound=float(result.error_bound),
                 )
+                vector = result.scores
+            elif getattr(backend, "supports_matrix", False):
+                vector = self._propagate_one(links, target_idx, params, backend)
+                self._cache_put(key, vector)
             else:
-                rec.record_timed(
-                    "engine.serve",
-                    time.perf_counter() - started,
-                    engine=self.engine_label,
-                    backend=params.backend,
-                    cache="miss",
-                    epoch=self._epoch,
+                raise EvaluationError(
+                    f"backend {params.backend!r} has no matrix-level kernel; "
+                    f"use the graph-level API (repro.similarity.backend."
+                    f"get_backend({params.backend!r}).scores(...)) instead"
                 )
         return {t: float(s) for t, s in zip(target_list, vector)}
 
@@ -1370,86 +1215,82 @@ class SimilarityEngine:
             return {}
         self._m_batch_serves.inc()
         self._flush()
-        rec = active_recorder()
-        started = time.perf_counter() if rec is not None else 0.0
-        links_by_query = {q: self._seed_links(q) for q in query_list}
-        results: dict[Node, dict[Node, float]] = {}
-        pending: list[Node] = []
-        keys: dict[Node, tuple] = {}
-        for query in query_list:
-            key = self._cache_key(links_by_query[query], target_list, params)
-            keys[query] = key
-            cached = self._cache_get(key)
-            if cached is not None:
-                results[query] = {
-                    t: float(s) for t, s in zip(target_list, cached)
-                }
-            else:
-                pending.append(query)
-        if pending:
-            for query in pending:
-                missing = [
-                    e for e in links_by_query[query] if e not in self._index
-                ]
-                if missing:
-                    raise NodeNotFoundError(missing[0])
-            target_idx = self._target_indices(target_list)
-            if getattr(backend, "uses_out_matrix", False):
-                # Push localizes per query; there is no shared dense
-                # block to stack, so batch = a loop of local pushes.
+        with self._ops.op(
+            "engine.serve_batch",
+            engine=self.engine_label,
+            backend=params.backend,
+            queries=len(query_list),
+            epoch=self._epoch,
+        ) as serve:
+            links_by_query = {q: self._seed_links(q) for q in query_list}
+            results: dict[Node, dict[Node, float]] = {}
+            pending: list[Node] = []
+            keys: dict[Node, tuple] = {}
+            for query in query_list:
+                key = self._cache_key(links_by_query[query], target_list, params)
+                keys[query] = key
+                cached = self._cache_get(key)
+                if cached is not None:
+                    results[query] = {
+                        t: float(s) for t, s in zip(target_list, cached)
+                    }
+                else:
+                    pending.append(query)
+            if pending:
                 for query in pending:
-                    push_result = self._serve_push(
-                        links_by_query[query],
+                    missing = [
+                        e for e in links_by_query[query] if e not in self._index
+                    ]
+                    if missing:
+                        raise NodeNotFoundError(missing[0])
+                target_idx = self._target_indices(target_list)
+                if getattr(backend, "uses_out_matrix", False):
+                    # Push localizes per query; there is no shared dense
+                    # block to stack, so batch = a loop of local pushes.
+                    for query in pending:
+                        push_result = self._serve_push(
+                            links_by_query[query],
+                            target_idx,
+                            params,
+                            backend,
+                            keys[query],
+                        )
+                        results[query] = {
+                            t: float(s)
+                            for t, s in zip(target_list, push_result.scores)
+                        }
+                elif getattr(backend, "supports_matrix", False) and hasattr(
+                    backend, "propagate_batch"
+                ):
+                    block = self._propagate_many(
+                        [links_by_query[q] for q in pending],
                         target_idx,
                         params,
                         backend,
-                        keys[query],
                     )
-                    results[query] = {
-                        t: float(s)
-                        for t, s in zip(target_list, push_result.scores)
-                    }
-            elif getattr(backend, "supports_matrix", False) and hasattr(
-                backend, "propagate_batch"
-            ):
-                block = self._propagate_many(
-                    [links_by_query[q] for q in pending],
-                    target_idx,
-                    params,
-                    backend,
-                )
-                for column, query in enumerate(pending):
-                    vector = block[:, column].copy()
-                    self._cache_put(keys[query], vector)
-                    results[query] = {
-                        t: float(s) for t, s in zip(target_list, vector)
-                    }
-            elif getattr(backend, "supports_matrix", False):
-                for query in pending:
-                    vector = self._propagate_one(
-                        links_by_query[query], target_idx, params, backend
+                    for column, query in enumerate(pending):
+                        vector = block[:, column].copy()
+                        self._cache_put(keys[query], vector)
+                        results[query] = {
+                            t: float(s) for t, s in zip(target_list, vector)
+                        }
+                elif getattr(backend, "supports_matrix", False):
+                    for query in pending:
+                        vector = self._propagate_one(
+                            links_by_query[query], target_idx, params, backend
+                        )
+                        self._cache_put(keys[query], vector)
+                        results[query] = {
+                            t: float(s) for t, s in zip(target_list, vector)
+                        }
+                else:
+                    raise EvaluationError(
+                        f"backend {params.backend!r} has no matrix-level "
+                        f"kernel; use the graph-level API (repro.similarity."
+                        f"backend.get_backend({params.backend!r})"
+                        f".scores_batch(...)) instead"
                     )
-                    self._cache_put(keys[query], vector)
-                    results[query] = {
-                        t: float(s) for t, s in zip(target_list, vector)
-                    }
-            else:
-                raise EvaluationError(
-                    f"backend {params.backend!r} has no matrix-level "
-                    f"kernel; use the graph-level API (repro.similarity."
-                    f"backend.get_backend({params.backend!r})"
-                    f".scores_batch(...)) instead"
-                )
-        if rec is not None:
-            rec.record_timed(
-                "engine.serve_batch",
-                time.perf_counter() - started,
-                engine=self.engine_label,
-                backend=params.backend,
-                queries=len(query_list),
-                cache_hits=len(query_list) - len(pending),
-                epoch=self._epoch,
-            )
+            serve.set(cache_hits=len(query_list) - len(pending))
         return {q: results[q] for q in query_list}
 
     @serve_path

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import VoteError, WorkerError
 from repro.graph.augmented import AugmentedGraph
-from repro.obs import MetricsRegistry, get_registry, trace_span
+from repro.obs import MetricsRegistry, Ops, get_registry
 from repro.obs.recorder import active_recorder
 from repro.optimize.online import BatchOutcome, OnlineOptimizer
 from repro.persistence import DurableStore
@@ -290,9 +290,7 @@ class OptimizerWorker:
             "optimize_epochs_published_total"
         )
         self._m_errors = self.registry.counter("optimize_worker_errors_total")
-        self._h_publish = self.registry.histogram(
-            "optimize_epoch_publish_seconds"
-        )
+        self._ops = Ops(self.registry, "optimize.")
         self._g_lag_votes = self.registry.gauge("optimize_worker_lag_votes")
         self._g_lag_seconds = self.registry.gauge(
             "optimize_worker_lag_seconds"
@@ -489,18 +487,22 @@ class OptimizerWorker:
     def _publish(self, outcome: BatchOutcome) -> None:
         """Apply one solved batch to the live graph as an atomic epoch."""
         shadow = self._online.aug
-        # Diff the graphs instead of trusting ``outcome.edge_keys``:
-        # that list is tolerance-filtered for reporting, and
-        # normalization can nudge out-edges that were never solver
-        # variables — a sub-tolerance drift left unpublished would
-        # desync the live graph from the shadow bitwise.
+        # Diff the graphs instead of trusting the report's changed
+        # edges: that list is tolerance-filtered, and normalization can
+        # nudge out-edges that were never solver variables — a
+        # sub-tolerance drift left unpublished would desync the live
+        # graph from the shadow bitwise.
         patch = [
             (edge.key[0], edge.key[1], edge.weight)
             for edge in shadow.kg_edges()
             if self._aug.kg_weight(*edge.key) != edge.weight
         ]
-        started = time.perf_counter()
-        with trace_span("optimize.publish") as span:
+        with self._ops.op(
+            "optimize.publish",
+            batch_index=outcome.batch_index,
+            num_votes=outcome.num_votes,
+            changed_edges=outcome.changed_edges,
+        ) as publish:
 
             def apply() -> None:
                 for head, tail, weight in patch:
@@ -511,14 +513,7 @@ class OptimizerWorker:
             else:
                 apply()
                 epoch = None
-            if span.recording:
-                span.set_attrs(
-                    batch_index=outcome.batch_index,
-                    edges=len(patch),
-                    epoch=epoch,
-                )
-        elapsed = time.perf_counter() - started
-        self._h_publish.observe(elapsed)
+            publish.set(epoch=epoch, last_seq=outcome.last_seq)
         self._m_epochs.inc()
         # Snapshot the *shadow*: its KG weights now equal the live
         # graph's, and the queries it lacks (transient serve-time
@@ -526,17 +521,6 @@ class OptimizerWorker:
         # checkpoint never has to touch the live graph.
         if self._store is not None and outcome.last_seq is not None:
             self._store.checkpoint(shadow, outcome.last_seq)
-        rec = active_recorder()
-        if rec is not None:
-            rec.record_timed(
-                "optimize.publish",
-                elapsed,
-                batch_index=outcome.batch_index,
-                num_votes=outcome.num_votes,
-                changed_edges=outcome.changed_edges,
-                epoch=epoch,
-                last_seq=outcome.last_seq,
-            )
 
     def _refresh_lag(self) -> None:
         depth = len(self.queue)

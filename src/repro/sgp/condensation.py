@@ -33,7 +33,7 @@ from scipy.special import logsumexp
 
 from repro.devtools.contracts import check_posynomial, check_weight_bounds
 from repro.errors import SGPSolverError
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry, op
 from repro.sgp.problem import SGPProblem
 from repro.sgp.solver import SGPSolution
 from repro.sgp.terms import Signomial
@@ -149,11 +149,11 @@ def solve_by_condensation(
         # With zero rounds the loop below would never bind its iteration
         # variable and the epilogue would crash with a NameError.
         raise SGPSolverError(f"max_rounds must be at least 1, got {max_rounds}")
-    with trace_span(
+    with op(
         "sgp.condensation",
         num_vars=problem.num_vars,
         num_constraints=problem.num_constraints,
-    ) as span:
+    ) as solve:
         start = time.perf_counter()
         n = problem.num_vars
         t_var = n  # index of the epigraph variable
@@ -258,7 +258,7 @@ def solve_by_condensation(
             nit=nit_total,
             extras={"max_residual": max_residual, "rounds": _round + 1},
         )
-        span.set_attrs(
+        solve.set(
             rounds=_round + 1,
             nit=nit_total,
             num_satisfied=solution.num_satisfied,
@@ -268,7 +268,6 @@ def solve_by_condensation(
     registry = get_registry()
     registry.counter("sgp_solves_total", method="condensation").inc()
     registry.counter("sgp_condensation_rounds_total").inc(_round + 1)
-    registry.histogram("sgp_solve_seconds").observe(solution.elapsed)
     if not solution.all_satisfied:
         registry.counter("sgp_partial_solutions_total").inc()
     return solution

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import optimize
 
 from repro.devtools.contracts import check_weight_bounds
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry, op
 from repro.sgp.problem import SGPProblem
 
 #: Penalty weight ρ of the first round, its growth factor when a round
@@ -158,11 +158,11 @@ def solve_sgp(problem: SGPProblem, *, max_iter: int = 200) -> SGPSolution:
     """
     objective = problem.objective  # raises early when unset
     stacked = problem.compile()
-    with trace_span(
+    with op(
         "sgp.solve",
         num_vars=problem.num_vars,
         num_constraints=problem.num_constraints,
-    ) as span:
+    ) as solve:
         start = time.perf_counter()
         bounds = optimize.Bounds(problem.lower, problem.upper)
         x = problem.x0.copy()
@@ -216,7 +216,7 @@ def solve_sgp(problem: SGPProblem, *, max_iter: int = 200) -> SGPSolution:
             nit=nit,
         )
         solution.extras["rounds"] = rounds
-        span.set_attrs(
+        solve.set(
             rounds=rounds,
             nit=nit,
             num_satisfied=solution.num_satisfied,
@@ -253,7 +253,6 @@ def _record_solve_metrics(solution: SGPSolution) -> None:
     """Registry telemetry for one finished solve."""
     registry = get_registry()
     registry.counter("sgp_solves_total", method=solution.method).inc()
-    registry.histogram("sgp_solve_seconds").observe(solution.elapsed)
     registry.counter("sgp_iterations_total").inc(max(solution.nit, 0))
     if not solution.all_satisfied:
         registry.counter("sgp_partial_solutions_total").inc()

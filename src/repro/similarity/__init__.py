@@ -46,7 +46,6 @@ from repro.similarity.backend import (
     resolve_backend,
     unregister_backend,
 )
-from repro.similarity.simrank import simrank, simrank_matrix
 from repro.similarity.top_k import rank_answers, rank_position
 
 __all__ = [
@@ -67,8 +66,6 @@ __all__ = [
     "get_backend",
     "available_backends",
     "resolve_backend",
-    "simrank",
-    "simrank_matrix",
     "rank_answers",
     "rank_position",
 ]

@@ -49,10 +49,9 @@ def _resolve_walk_params(
 ) -> tuple[int, float]:
     """Accept either ``params=SimilarityParams(...)`` or the bare pair.
 
-    Unlike the serving-layer shims, passing the bare pair here is *not*
-    deprecated — these are the primitive evaluators and the pair is
-    their natural signature; ``params`` is accepted for symmetry with
-    the layers above.
+    These are the primitive evaluators and the pair is their natural
+    signature; ``params`` is accepted for symmetry with the layers
+    above.
     """
     if params is not None:
         if max_length is not None or restart_prob is not None:

@@ -25,9 +25,6 @@ def rank_answers(
     params: "SimilarityParams | None" = None,
     answers: "Iterable[Node] | None" = None,
     engine=None,
-    k: "int | None" = None,
-    max_length: "int | None" = None,
-    restart_prob: "float | None" = None,
 ) -> list[tuple[Node, float]]:
     """Return the top-k ``(answer, similarity)`` pairs for ``query``.
 
@@ -47,18 +44,13 @@ def rank_answers(
         given, scores come from the engine's cached/incremental matrix
         instead of a cold per-call adjacency rebuild; results are
         bitwise identical for the dense backend.
-    k, max_length, restart_prob:
-        Removed; passing any of them raises ``TypeError`` with a
-        migration hint (use ``params`` instead).
 
     Notes
     -----
     Scores are sorted descending; exact ties are ordered by ``repr`` of
     the answer id, which is stable across runs and platforms.
     """
-    params = resolve_similarity_params(
-        params, k=k, max_length=max_length, restart_prob=restart_prob
-    )
+    params = resolve_similarity_params(params)
     if not aug.is_query(query):
         raise EvaluationError(f"{query!r} is not a query node of the augmented graph")
     if answers is not None:

@@ -27,7 +27,7 @@ as free would accept votes the SGP still cannot satisfy.
 
 from __future__ import annotations
 
-from repro.obs import get_registry, trace_span
+from repro.obs import get_registry, op
 from repro.graph.augmented import AugmentedGraph
 from repro.paths.edgesets import reachable_edge_set
 from repro.serving.params import SimilarityParams
@@ -112,7 +112,7 @@ def filter_feasible(
     """
     kept = VoteSet()
     discarded: list[Vote] = []
-    with trace_span("votes.feasibility_filter", num_votes=len(votes)) as span:
+    with op("votes.feasibility_filter", num_votes=len(votes)) as run:
         for vote in votes:
             if is_vote_feasible(
                 aug,
@@ -124,7 +124,7 @@ def filter_feasible(
                 kept.add(vote)
             else:
                 discarded.append(vote)
-        span.set_attrs(kept=len(kept), discarded=len(discarded))
+        run.set(kept=len(kept), discarded=len(discarded))
     registry = get_registry()
     registry.counter("votes_feasible_total").inc(len(kept))
     registry.counter("votes_infeasible_total").inc(len(discarded))

@@ -15,6 +15,11 @@ if os.environ.get("REPRO_CONTRACTS", "") not in ("0", "false", "no", "off"):
     enable_contracts()
 
 
+def engine_value(engine, name):
+    """One ``engine_*`` series of ``engine``: its registry, its label."""
+    return engine.registry.value(name, engine=engine.engine_label)
+
+
 @pytest.fixture
 def fig1_kg():
     """The entity graph of the paper's Fig. 1 / Section IV-A example.

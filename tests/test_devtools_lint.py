@@ -71,6 +71,36 @@ class TestR002:
         # Only literal first arguments are checkable statically.
         assert rules_of("registry.counter(name).inc()\n") == []
 
+    def test_undeclared_op_fires(self):
+        assert rules_of("with op('qa.bogus'):\n    pass\n") == ["R002"]
+        assert rules_of("with self._ops.op('engine.bogus'):\n    pass\n") == [
+            "R002"
+        ]
+
+    def test_declared_op_clean(self):
+        assert rules_of("with op('sgp.solve', num_vars=3) as s:\n    s.set()\n") == []
+
+    def test_undeclared_recorder_kind_fires(self):
+        assert rules_of("event('qa.bogus', x=1)\n") == ["R002"]
+        assert rules_of(
+            "rec.record_timed('engine.bogus', 0.1)\n",
+            path="src/repro/obs/slo.py",
+        ) == ["R002"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "trace_span('qa.ask')",
+            "rec.record('qa.vote', question_id='q')",
+            "rec.record_timed('qa.ask', 0.1)",
+        ],
+    )
+    def test_sink_call_outside_obs_fires(self, call):
+        source = f"{call}\n"
+        assert rules_of(source, path="src/repro/serving/engine.py") == ["R002"]
+        # The obs package implements the seam and may call its sinks.
+        assert rules_of(source, path="src/repro/obs/recorder.py") == []
+
 
 # ----------------------------------------------------------------------
 # R003: print in library code
@@ -434,18 +464,48 @@ class TestR007:
         violations = find_dead_series(
             paths,
             metrics=["qa_asks_total", "phantom_series_total"],
-            spans=[],
+            ops=[],
         )
         assert [v.rule for v in violations] == ["R007"]
         assert "phantom_series_total" in violations[0].message
         assert violations[0].path.endswith("catalog.py")
+
+    def test_unused_ops_row_fires(self, tmp_path):
+        from repro.devtools.lint import find_dead_series
+
+        paths = self._tree(
+            tmp_path,
+            """
+            with op("sgp.solve"):
+                event("qa.vote", question_id="q")
+            """,
+        )
+        violations = find_dead_series(
+            paths,
+            metrics=["sgp_solve_seconds"],
+            ops=["sgp.solve", "qa.vote", "wal.checkpoint"],
+        )
+        assert [v.rule for v in violations] == ["R007"]
+        assert "wal.checkpoint" in violations[0].message
+
+    def test_used_op_emits_its_histograms(self, tmp_path):
+        from repro.devtools.lint import collect_emitted_names
+
+        paths = self._tree(tmp_path, 'with self._ops.op("engine.push"):\n    pass\n')
+        metrics, ops = collect_emitted_names(paths)
+        assert ops == {"engine.push"}
+        assert metrics == {
+            "engine_propagate_seconds",
+            "engine_push_edges_touched",
+            "engine_push_error_bound",
+        }
 
     def test_phantom_span_fires(self, tmp_path):
         from repro.devtools.lint import find_dead_series
 
         paths = self._tree(tmp_path, 'with trace_span("qa.ask"):\n    pass\n')
         violations = find_dead_series(
-            paths, metrics=[], spans=["qa.ask", "ghost.span"]
+            paths, metrics=[], ops=["qa.ask", "ghost.span"]
         )
         assert [v.rule for v in violations] == ["R007"]
         assert "ghost.span" in violations[0].message
@@ -465,7 +525,7 @@ class TestR007:
         assert find_dead_series(
             paths,
             metrics=["qa_asks_total", "engine_cache_entries", "qa_ask_seconds"],
-            spans=["qa.ask"],
+            ops=["qa.ask"],
         ) == []
 
     def test_local_alias_idiom_counts_as_emitted(self, tmp_path):

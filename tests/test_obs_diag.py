@@ -28,6 +28,8 @@ from repro.obs.diag import (
 from repro.obs.recorder import arm_recorder, disarm_recorder
 from repro.serving import SimilarityEngine, SimilarityParams
 
+from conftest import engine_value
+
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
 
@@ -176,7 +178,7 @@ class TestEndToEndAcceptance:
         )[:2]:
             aug.set_kg_weight(*edge, aug.kg_weight(*edge) * 0.7)
         engine.scores_for_query("q0", targets)
-        assert engine.stats().delta_fallbacks == 1
+        assert engine_value(engine, "engine_delta_fallbacks_total") == 1
 
         with pytest.raises(ContractViolation):
             check_weight_bounds(np.array([9.0]), 0.1, 1.0, seam="e2e-test")

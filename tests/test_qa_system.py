@@ -224,5 +224,5 @@ class TestQASystem:
             QASystem(kg, corpus.vocabulary, params=SimilarityParams(k=0))
 
     def test_legacy_kwargs_raise(self, kg, corpus):
-        with pytest.raises(TypeError, match="SimilarityParams"):
+        with pytest.raises(TypeError):
             QASystem(kg, corpus.vocabulary, k=8)

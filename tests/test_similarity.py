@@ -234,7 +234,7 @@ class TestTopK:
 
     def test_rank_answers_legacy_kwargs_raise(self):
         aug = small_augmented()
-        with pytest.raises(TypeError, match="SimilarityParams"):
+        with pytest.raises(TypeError):
             rank_answers(aug, "q", k=2)
 
     def test_rank_answers_explicit_answer_subset_ok(self):

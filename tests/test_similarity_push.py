@@ -45,6 +45,8 @@ from repro.similarity.push import (
     remaining_gain,
 )
 
+from conftest import engine_value
+
 #: Float-comparison slop on top of the analytic error budget: push and
 #: dense sum the same products in different orders.
 FP_SLOP = 1e-12
@@ -355,8 +357,8 @@ class TestEnginePush:
                 assert served[target] == pytest.approx(
                     cold[target], abs=budget
                 )
-        assert engine.stats().push_serves == len(aug.query_nodes)
-        assert engine.stats().push_edges_touched > 0
+        assert engine_value(engine, "engine_push_serves_total") == len(aug.query_nodes)
+        assert engine_value(engine, "engine_push_edges_touched")["sum"] > 0
         engine.close()
 
     def test_cache_hit_skips_push(self):
@@ -365,9 +367,8 @@ class TestEnginePush:
         first = engine.scores_for_query("q", ["ans"])
         second = engine.scores_for_query("q", ["ans"])
         assert first == second
-        stats = engine.stats()
-        assert stats.push_serves == 1
-        assert stats.cache_hits == 1
+        assert engine_value(engine, "engine_push_serves_total") == 1
+        assert engine_value(engine, "engine_cache_hits_total") == 1
         engine.close()
 
     def test_disjoint_patch_rekeys_cached_push(self):
@@ -378,10 +379,9 @@ class TestEnginePush:
         aug.graph.set_weight("X", "Y", 0.1)
         after = engine.scores_for_query("q", ["ans"])
         assert after == before  # carried verbatim, not recomputed
-        stats = engine.stats()
-        assert stats.push_rekeys == 1
-        assert stats.push_repushes == 0
-        assert stats.push_serves == 1
+        assert engine_value(engine, "engine_push_rekeys_total") == 1
+        assert engine_value(engine, "engine_push_repushes_total") == 0
+        assert engine_value(engine, "engine_push_serves_total") == 1
         engine.close()
 
     def test_intersecting_patch_repushes(self):
@@ -396,9 +396,8 @@ class TestEnginePush:
         assert served["ans"] == pytest.approx(
             cold["ans"], abs=PUSH_PARAMS.push_tolerance + FP_SLOP
         )
-        stats = engine.stats()
-        assert stats.push_repushes == 1
-        assert stats.push_serves == 1  # the repair is not a serve
+        assert engine_value(engine, "engine_push_repushes_total") == 1
+        assert engine_value(engine, "engine_push_serves_total") == 1  # the repair is not a serve
         engine.close()
 
     def test_answer_append_keeps_push_cache_valid(self):
@@ -443,7 +442,7 @@ class TestEnginePush:
                 assert batch[query][target] == pytest.approx(
                     cold[target], abs=budget
                 )
-        assert engine.stats().push_serves == len(queries)
+        assert engine_value(engine, "engine_push_serves_total") == len(queries)
         engine.close()
 
     @settings(max_examples=15, deadline=None)
