@@ -2,7 +2,8 @@
 
 Not a paper table — these quantify the knobs the paper fixes by fiat:
 
-- SGP solver: augmented Lagrangian vs monomial condensation (single-vote);
+- SGP solver: the augmented-Lagrangian solve vs the SLSQP test oracle
+  (single-vote);
 - sigmoid steepness w (paper: 300);
 - λ1/λ2 preference trade-off (paper: 0.5/0.5);
 - feasibility filter on/off with erroneous votes injected;
@@ -23,9 +24,11 @@ from repro.optimize import (
     solve_split_merge,
 )
 from repro.optimize.encoder import encode_votes
-from repro.optimize.objectives import distance_signomial
-from repro.sgp import solve_by_condensation, solve_sgp
+from repro.optimize.objectives import distance_objective
+from repro.sgp import solve_sgp
 from repro.utils.tables import format_table
+
+from tests.sgp_reference import solve_sgp_slsqp
 
 
 def _workload(**kwargs):
@@ -35,12 +38,13 @@ def _workload(**kwargs):
 
 
 def bench_ablation_solvers(benchmark):
-    """One negative vote's SGP solved by both solvers in ``repro.sgp``."""
+    """One negative vote's SGP solved by ``repro.sgp.solve_sgp`` and by
+    the SLSQP oracle the tests compare it with."""
     workload = _workload(seed=3)
     vote = workload.votes.negative[0]
     solvers = {
         "augmented-lagrangian": solve_sgp,
-        "condensation": solve_by_condensation,
+        "slsqp (test oracle)": solve_sgp_slsqp,
     }
     results = {}
 
@@ -49,9 +53,10 @@ def bench_ablation_solvers(benchmark):
             encoded = encode_votes(
                 workload.deployed, [vote], use_deviations=False
             )
-            encoded.problem.set_objective(
-                distance_signomial(encoded.problem.x0[: encoded.num_edge_vars])
-            )
+            encoded.problem.set_objective(distance_objective(
+                encoded.problem.x0[: encoded.num_edge_vars],
+                encoded.problem.num_vars,
+            ))
             results[name] = solve(encoded.problem)
         return results
 
@@ -62,7 +67,7 @@ def bench_ablation_solvers(benchmark):
             method,
             f"{solution.elapsed:.3f}s",
             f"{solution.num_satisfied}/{solution.num_constraints}",
-            f"{solution.objective_value:.4f}",
+            f"{solution.objective_value:.6f}",
         ]
         for method, solution in results.items()
     ]
@@ -75,6 +80,11 @@ def bench_ablation_solvers(benchmark):
     )
     # Every solver should satisfy the (feasible) vote's constraints.
     assert all(s.all_satisfied for s in results.values())
+    # ...and the production solve should reach the oracle's optimum.
+    oracle = results["slsqp (test oracle)"].objective_value
+    assert results["augmented-lagrangian"].objective_value <= (
+        oracle * (1.0 + 1e-3) + 1e-9
+    )
 
 
 def bench_ablation_sigmoid_w(benchmark):

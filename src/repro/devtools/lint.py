@@ -14,7 +14,7 @@ Rule      What it rejects
           :class:`~repro.serving.engine.SimilarityEngine` patch API.
 ``R002``  A metric or operation name literal not declared in
           :mod:`repro.obs.catalog` — the typo'd-phantom-series guard —
-          and a ``trace_span`` / ``.record`` / ``.record_timed`` call in
+          and a ``trace_span`` / ``.record`` call in
           ``repro/`` outside ``repro/obs/`` (use :func:`repro.obs.op`).
 ``R003``  ``print()`` calls in library code (the logging migration
           regression guard).
@@ -164,7 +164,7 @@ _SEEDED_RNG_FACTORIES = frozenset({"default_rng", "Generator", "SeedSequence"})
 #: Sink calls that bypass the :func:`repro.obs.op` seam (R002 outside
 #: ``repro/obs/``), and every call whose literal first argument names
 #: an operation.
-_SEAM_BYPASSES = frozenset({"trace_span", "record", "record_timed"})
+_SEAM_BYPASSES = frozenset({"trace_span", "record"})
 _OP_CALLS = _SEAM_BYPASSES | {"op", "event"}
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9, ]+))?", re.IGNORECASE)

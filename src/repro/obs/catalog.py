@@ -84,11 +84,10 @@ COUNTERS: frozenset[str] = frozenset(
         # QA front end (repro/qa/system.py)
         "qa_asks_total",
         "qa_votes_total",
-        # SGP solvers (repro/sgp/solver.py, condensation.py)
+        # SGP solver (repro/sgp/solver.py)
         "sgp_solves_total",
         "sgp_iterations_total",
         "sgp_partial_solutions_total",
-        "sgp_condensation_rounds_total",
         # optimization drivers (repro/optimize/report.py)
         "optimize_runs_total",
         "optimize_changed_edges_total",
@@ -206,7 +205,6 @@ OPS: "Mapping[str, OpSpec]" = {
     "engine.revalidate": _POINT,
     "engine.delta_fallback": _POINT,
     "sgp.solve": OpSpec(True, "sgp_solve_seconds"),
-    "sgp.condensation": OpSpec(True, "sgp_solve_seconds"),
     "optimize.single_vote": _SPAN,
     "optimize.multi_vote": _SPAN,
     "optimize.split_merge": _SPAN,
@@ -233,6 +231,11 @@ OPS: "Mapping[str, OpSpec]" = {
 #: Histograms with their own buckets (the default is
 #: :data:`repro.obs.metrics.DEFAULT_LATENCY_BUCKETS`).
 HISTOGRAM_BUCKETS: "Mapping[str, tuple[float, ...]]" = {
+    # edges traversed per push query, a count from tens to millions
+    "engine_push_edges_touched": (
+        10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1e3, 2e3, 5e3,
+        1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6, 2e6, 5e6, 1e7,
+    ),
     # accounted dropped mass per push query, a score error on [0, 1)
     "engine_push_error_bound": (
         1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0,

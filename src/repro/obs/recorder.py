@@ -150,20 +150,14 @@ class FlightRecorder:
         """Append one event (cheap: no lock, no I/O)."""
         self.record_ended(kind, perf_counter(), None, attrs)
 
-    def record_timed(self, kind: str, seconds: float, **attrs: object) -> None:
-        """Append a latency-carrying event; slow operations self-trigger.
-
-        ``seconds`` lands in the event as ``latency``; if ``kind`` has a
-        configured slow threshold and exceeds it, a ``slow_op`` dump is
-        triggered (rate-limited like every trigger).
-        """
-        self.record_ended(kind, perf_counter(), seconds, attrs)
-
     def record_ended(
         self, kind: str, t: float, seconds: "float | None", attrs: dict[str, object]
     ) -> None:
         """Append an event that happened at ``t`` (the clock reading an op
-        already took), with a ``latency`` unless ``seconds`` is ``None``."""
+        already took), with a ``latency`` unless ``seconds`` is ``None``.
+
+        A ``kind`` whose slow threshold ``seconds`` exceeds triggers a
+        ``slow_op`` dump (rate-limited like every trigger)."""
         events = self._events
         if len(events) == self.capacity:
             self._m_dropped.inc()

@@ -23,7 +23,6 @@ from repro.optimize.report import OptimizeReport
 from repro.optimize.objectives import (
     combined_objective,
     distance_objective,
-    distance_signomial,
     sigmoid,
     sigmoid_deviation_objective,
     step_count,
@@ -39,7 +38,6 @@ __all__ = [
     "EncodedProgram",
     "encode_votes",
     "OptimizeReport",
-    "distance_signomial",
     "distance_objective",
     "sigmoid",
     "step_count",

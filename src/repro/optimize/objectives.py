@@ -23,39 +23,9 @@ import numpy as np
 
 from repro.errors import SGPModelError
 from repro.sgp.problem import SmoothObjective
-from repro.sgp.terms import Signomial
 
 #: Paper default sigmoid steepness (Section V, Fig. 2).
 DEFAULT_SIGMOID_W = 300.0
-
-
-def distance_signomial(initial: Sequence[float], var_ids: "Sequence[int] | None" = None) -> Signomial:
-    """Eq. 12 as a signomial: ``Σ_i (x_i − x0_i)²`` expanded termwise.
-
-    Parameters
-    ----------
-    initial:
-        The reference weights ``x0`` (one per variable).
-    var_ids:
-        Variable ids to use; defaults to ``0 .. len(initial)-1``.  The
-        multi-vote encoder passes only the edge-variable block so the
-        deviation variables stay out of the distance term.
-
-    The signomial form is what the condensation solver requires; for the
-    SQP solvers :func:`distance_objective` (a direct quadratic) is
-    equivalent and cheaper to evaluate.
-    """
-    ids = list(var_ids) if var_ids is not None else list(range(len(initial)))
-    if len(ids) != len(initial):
-        raise SGPModelError(
-            f"got {len(initial)} initial values for {len(ids)} variables"
-        )
-    objective = Signomial()
-    for var, value in zip(ids, initial):
-        objective.add_term(1.0, {var: 2.0})
-        objective.add_term(-2.0 * float(value), {var: 1.0})
-        objective.add_term(float(value) * float(value), {})
-    return objective
 
 
 def distance_objective(
@@ -63,7 +33,19 @@ def distance_objective(
     num_vars: int,
     var_ids: "Sequence[int] | None" = None,
 ) -> SmoothObjective:
-    """Eq. 12 as a direct smooth quadratic with analytic gradient."""
+    """Eq. 12, ``Σ_i (x_i − x0_i)²``, with its analytic gradient.
+
+    Parameters
+    ----------
+    initial:
+        The reference weights ``x0`` (one per variable in ``var_ids``).
+    num_vars:
+        Length of the program's variable vector.
+    var_ids:
+        Variable ids to use; defaults to ``0 .. len(initial)-1``.  The
+        multi-vote encoder passes only the edge-variable block so the
+        deviation variables stay out of the distance term.
+    """
     ids = np.asarray(
         list(var_ids) if var_ids is not None else range(len(initial)), dtype=int
     )

@@ -29,7 +29,7 @@ from repro.optimize.encoder import (
     DEFAULT_UPPER,
     encode_votes,
 )
-from repro.optimize.objectives import distance_signomial
+from repro.optimize.objectives import distance_objective
 from repro.optimize.report import OptimizeReport, record_optimize_run
 from repro.serving.params import SimilarityParams, resolve_similarity_params
 from repro.sgp.solver import SGPSolution, solve_sgp
@@ -172,7 +172,9 @@ def solve_single_votes(
                 report.encode_time += time.perf_counter() - encode_start
 
                 initial = encoded.problem.x0[: encoded.num_edge_vars]
-                encoded.problem.set_objective(distance_signomial(initial))
+                encoded.problem.set_objective(
+                    distance_objective(initial, encoded.problem.num_vars)
+                )
                 try:
                     solution = solve_sgp(encoded.problem, max_iter=max_iter)
                 except SGPSolverError as exc:

@@ -11,10 +11,10 @@ two forms are interchangeable — our encoder produces difference-form
 constraints ``S_other − S_best < 0`` directly, so ``≤ 0`` is the natural
 normal form here.)
 
-The objective is either a :class:`~repro.sgp.terms.Signomial` (the
-single-vote distance objective, Eq. 12) or a :class:`SmoothObjective`
-(the multi-vote objective, Eq. 19, whose sigmoid term is smooth but not
-signomial).  Everything is compiled before handing to the solver.
+The objective is a :class:`SmoothObjective`: the minimal-change
+distance of Eq. 12, or the multi-vote objective of Eq. 19, whose sigmoid
+term is smooth but not signomial.  The constraints are compiled into
+one :class:`StackedConstraints` before the solver sees them.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ class SmoothObjective:
     def value(self, x: np.ndarray) -> float:
         """Objective value only."""
         return self.value_and_grad(x)[0]
-
-    @classmethod
-    def from_signomial(cls, signomial: Signomial, num_vars: int,
-                       name: str = "signomial") -> "SmoothObjective":
-        """Wrap a compiled signomial as a smooth objective."""
-        compiled = signomial.compile(num_vars)
-        return cls(compiled.value_and_grad, name=name)
 
     @classmethod
     def weighted_sum(
@@ -197,7 +190,6 @@ class SGPProblem:
         self.constraints: list[Constraint] = []
         self._stacked: "StackedConstraints | None" = None
         self._objective: "SmoothObjective | None" = None
-        self._objective_signomial: "Signomial | None" = None
 
     @property
     def num_vars(self) -> int:
@@ -230,21 +222,14 @@ class SGPProblem:
         self._stacked = None
         return constraint
 
-    def set_objective(self, objective: "Signomial | SmoothObjective") -> None:
-        """Set the objective (a signomial or any smooth objective)."""
-        if isinstance(objective, Signomial):
-            self._objective_signomial = objective
-            self._objective = SmoothObjective.from_signomial(
-                objective, self.num_vars
-            )
-        elif isinstance(objective, SmoothObjective):
-            self._objective_signomial = None
-            self._objective = objective
-        else:
+    def set_objective(self, objective: SmoothObjective) -> None:
+        """Set the objective."""
+        if not isinstance(objective, SmoothObjective):
             raise SGPModelError(
-                f"objective must be a Signomial or SmoothObjective, got "
+                "objective must be a SmoothObjective, got "
                 f"{type(objective).__name__}"
             )
+        self._objective = objective
 
     @property
     def objective(self) -> SmoothObjective:
@@ -252,15 +237,6 @@ class SGPProblem:
         if self._objective is None:
             raise SGPModelError("no objective has been set")
         return self._objective
-
-    @property
-    def objective_signomial(self) -> "Signomial | None":
-        """The signomial form of the objective, when it has one.
-
-        The condensation solver requires this form; the sigmoid-penalty
-        objective of the multi-vote solution does not have one.
-        """
-        return self._objective_signomial
 
     def compile(self) -> StackedConstraints:
         """Stack every constraint for fast evaluation (cached until the

@@ -77,8 +77,7 @@ class SGPSolution:
         :data:`TOLERANCE`).
     method:
         Which solver produced the point: ``augmented-lagrangian`` for
-        :func:`solve_sgp`, ``condensation`` for
-        :func:`~repro.sgp.condensation.solve_by_condensation`.
+        :func:`solve_sgp` (the SLSQP test oracle reports ``slsqp``).
     message:
         Solver diagnostic text.
     elapsed:

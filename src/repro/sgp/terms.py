@@ -11,8 +11,10 @@ signomial is a *posynomial*; a single term is a *monomial*.
 Variables are identified by non-negative integer ids (the optimizer
 assigns one id per adjustable edge weight plus, in the multi-vote
 formulation, one per deviation variable).  A :class:`Signomial` is a
-mutable dict-of-terms used while *building* expressions; the solver
-*compiles* it into a :class:`CompiledSignomial`, which evaluates values
+mutable dict-of-terms used while *building* expressions.  The solver
+never evaluates one term by term: :meth:`~repro.sgp.problem.SGPProblem.compile`
+stacks every constraint into one
+:class:`~repro.sgp.problem.StackedConstraints`, which evaluates values
 and gradients through vectorized sparse matrix products — essential
 because each constraint can contain thousands of walk terms and the
 solver evaluates it hundreds of times.
@@ -24,7 +26,6 @@ import math
 from collections.abc import Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import SGPModelError
 
@@ -53,7 +54,7 @@ class Signomial:
     Supports term accumulation, addition/subtraction, scalar and
     signomial multiplication, exact evaluation, and analytic gradients.
     Exact (dict-based) evaluation is convenient for tests and small
-    expressions; hot paths should :meth:`compile` first.
+    expressions; the solver evaluates the compiled program instead.
     """
 
     __slots__ = ("_terms",)
@@ -130,13 +131,6 @@ class Signomial:
         if not self.is_constant():
             raise SGPModelError("signomial is not constant")
         return sum(self._terms.values())
-
-    def max_degree(self) -> float:
-        """Largest total exponent over terms (0 for the zero signomial)."""
-        best = 0.0
-        for key in self._terms:
-            best = max(best, sum(exp for _, exp in key))
-        return best
 
     # ------------------------------------------------------------------
     # algebra
@@ -219,69 +213,3 @@ class Signomial:
             for var, exp in key:
                 grad[var] = grad.get(var, 0.0) + term * exp / x[var]
         return grad
-
-    def compile(self, num_vars: int) -> "CompiledSignomial":
-        """Compile into vectorized sparse form over ``num_vars`` variables."""
-        return CompiledSignomial(self, num_vars)
-
-
-class CompiledSignomial:
-    """Immutable, vectorized form of a :class:`Signomial`.
-
-    Evaluation is done in log space: for positive ``x`` each term is
-    ``c_k · exp(E_k · log x)`` where ``E`` is the (sparse) exponent
-    matrix.  Values and gradients are then sparse matrix products:
-
-    - ``value   = coeffs · exp(E @ log x)``
-    - ``grad_j  = Σ_k coeffs_k · exp(E_k · log x) · E_kj / x_j``
-    """
-
-    __slots__ = ("num_vars", "coeffs", "exponents", "_exponents_t", "num_terms")
-
-    def __init__(self, signomial: Signomial, num_vars: int) -> None:
-        if num_vars < 0:
-            raise SGPModelError(f"num_vars must be non-negative, got {num_vars}")
-        used = signomial.variables()
-        if used and max(used) >= num_vars:
-            raise SGPModelError(
-                f"signomial uses variable {max(used)} but num_vars={num_vars}"
-            )
-        self.num_vars = num_vars
-        terms = list(signomial.terms())
-        self.num_terms = len(terms)
-        self.coeffs = np.array([c for c, _ in terms], dtype=float)
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        for t, (_, exponents) in enumerate(terms):
-            for var, exp in exponents.items():
-                rows.append(t)
-                cols.append(var)
-                data.append(exp)
-        self.exponents = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.num_terms, num_vars)
-        )
-        self._exponents_t = self.exponents.T.tocsr()
-
-    def _term_values(self, x: np.ndarray) -> np.ndarray:
-        if self.num_terms == 0:
-            return np.zeros(0)
-        log_x = np.log(x)
-        return self.coeffs * np.exp(self.exponents @ log_x)
-
-    def value(self, x: np.ndarray) -> float:
-        """Evaluate at a dense positive vector ``x`` of length ``num_vars``."""
-        return float(self._term_values(np.asarray(x, dtype=float)).sum())
-
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and dense gradient in one pass (shares term values)."""
-        x = np.asarray(x, dtype=float)
-        if self.num_terms == 0:
-            return 0.0, np.zeros(self.num_vars)
-        term_values = self._term_values(x)
-        grad = (self._exponents_t @ term_values) / x
-        return float(term_values.sum()), np.asarray(grad)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """Dense gradient at ``x``."""
-        return self.value_and_grad(x)[1]

@@ -83,7 +83,7 @@ class TestR002:
     def test_undeclared_recorder_kind_fires(self):
         assert rules_of("event('qa.bogus', x=1)\n") == ["R002"]
         assert rules_of(
-            "rec.record_timed('engine.bogus', 0.1)\n",
+            "rec.record('engine.bogus', x=1)\n",
             path="src/repro/obs/slo.py",
         ) == ["R002"]
 
@@ -92,7 +92,6 @@ class TestR002:
         [
             "trace_span('qa.ask')",
             "rec.record('qa.vote', question_id='q')",
-            "rec.record_timed('qa.ask', 0.1)",
         ],
     )
     def test_sink_call_outside_obs_fires(self, call):

@@ -17,6 +17,7 @@ from repro.devtools.contracts import ContractViolation, check_weight_bounds
 from repro.graph.augmented import AugmentedGraph
 from repro.graph.generators import random_digraph
 from repro.obs import MetricsRegistry
+from repro.obs.catalog import HISTOGRAM_BUCKETS
 from repro.obs.diag import (
     DiagBundle,
     _merged_histogram,
@@ -27,6 +28,7 @@ from repro.obs.diag import (
 )
 from repro.obs.recorder import arm_recorder, disarm_recorder
 from repro.serving import SimilarityEngine, SimilarityParams
+from repro.similarity.backend import PushBackend
 
 from conftest import engine_value
 
@@ -137,6 +139,43 @@ class TestHealthReport:
         report = render_health_report(registry.snapshot())
         assert "Durability" in report
         assert "12.5s" in report
+
+    def test_push_edges_touched_quantiles_are_counts(self, registry, monkeypatch):
+        """Per-query edge counts land in count-scale buckets, so the
+        report's p50 sits in the bucket of the true median instead of
+        clamping at the last latency bound (10)."""
+        touched = []
+        propagate = PushBackend.propagate
+
+        def recording(self, *args, **kwargs):
+            result = propagate(self, *args, **kwargs)
+            touched.append(result.edges_touched)
+            return result
+
+        monkeypatch.setattr(PushBackend, "propagate", recording)
+        aug = build_aug(num_entities=300, num_answers=8, num_queries=21)
+        engine = SimilarityEngine(
+            aug, params=SimilarityParams(k=5, max_length=6, backend="push"),
+            registry=registry,
+        )
+        targets = sorted(aug.answer_nodes, key=repr)
+        for query in sorted(aug.query_nodes, key=repr):
+            engine.scores_for_query(query, targets)
+        engine.close()
+        assert len(touched) == 21
+        median = float(np.median(touched))
+        assert median > 100  # hundreds of edges per query
+
+        report = render_health_report(registry.snapshot())
+        (row,) = [
+            line for line in report.splitlines()
+            if line.startswith("edges touched / query")
+        ]
+        p50 = float(row.split("|")[2])
+        assert p50 > 10
+        bounds = (0.0, *HISTOGRAM_BUCKETS["engine_push_edges_touched"])
+        bucket = next(i for i, b in enumerate(bounds) if b >= median)
+        assert bounds[bucket - 1] <= p50 <= bounds[bucket]
 
 
 def build_aug(seed=3, num_entities=14, num_answers=4, num_queries=3):

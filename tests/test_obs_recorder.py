@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -72,9 +73,9 @@ class TestRing:
 
 
 class TestTimedAndTriggers:
-    def test_record_timed_attaches_latency(self, tmp_path, registry):
+    def test_record_ended_attaches_latency(self, tmp_path, registry):
         rec = make_recorder(tmp_path, registry)
-        rec.record_timed("qa.ask", 0.012, question_id="q1")
+        rec.record_ended("qa.ask", perf_counter(), 0.012, {"question_id": "q1"})
         (event,) = rec.events()
         assert event.attrs["latency"] == pytest.approx(0.012)
 
@@ -82,7 +83,7 @@ class TestTimedAndTriggers:
         rec = make_recorder(
             tmp_path, registry, slow_thresholds={"qa.ask": 0.001}
         )
-        rec.record_timed("qa.ask", 0.5)
+        rec.record_ended("qa.ask", perf_counter(), 0.5, {})
         bundles = list((tmp_path / "flight").glob("flight-*-slow_op"))
         assert len(bundles) == 1
 
@@ -90,12 +91,12 @@ class TestTimedAndTriggers:
         rec = make_recorder(
             tmp_path, registry, slow_thresholds={"qa.ask": 1.0}
         )
-        rec.record_timed("qa.ask", 0.01)
+        rec.record_ended("qa.ask", perf_counter(), 0.01, {})
         assert not (tmp_path / "flight").exists()
 
     def test_unthresholded_kind_never_self_triggers(self, tmp_path, registry):
         rec = make_recorder(tmp_path, registry, slow_thresholds={})
-        rec.record_timed("qa.ask", 1e6)
+        rec.record_ended("qa.ask", perf_counter(), 1e6, {})
         assert not (tmp_path / "flight").exists()
 
     def test_rate_limit_suppresses_back_to_back_dumps(self, tmp_path, registry):
@@ -137,7 +138,7 @@ class TestBundleFormat:
         registry.counter("qa_asks_total").inc(3)
         rec = make_recorder(tmp_path, registry)
         rec.record("qa.ask", question_id="q0")
-        rec.record_timed("engine.serve", 0.004, cache="hit")
+        rec.record_ended("engine.serve", perf_counter(), 0.004, {"cache": "hit"})
         with trace_span("qa.ask"):
             pass
         bundle = rec.dump(reason="manual", detail="test dump")

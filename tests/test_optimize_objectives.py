@@ -9,17 +9,22 @@ from repro.errors import SGPModelError
 from repro.optimize.objectives import (
     combined_objective,
     distance_objective,
-    distance_signomial,
     sigmoid,
     sigmoid_deviation_objective,
     step_count,
 )
+from repro.sgp import Signomial
 
 
 class TestDistance:
     def test_signomial_matches_direct(self):
+        """The direct quadratic equals Eq. 12 expanded into signomial terms."""
         x0 = [0.3, 0.7]
-        sig = distance_signomial(x0)
+        sig = Signomial()
+        for var, value in enumerate(x0):
+            sig.add_term(1.0, {var: 2.0})
+            sig.add_term(-2.0 * value, {var: 1.0})
+            sig.add_term(value * value, {})
         direct = distance_objective(x0, 2)
         for point in ([0.3, 0.7], [0.5, 0.5], [0.1, 0.9]):
             x = np.asarray(point)
@@ -46,8 +51,6 @@ class TestDistance:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(SGPModelError):
             distance_objective([0.1, 0.2], 4, var_ids=[0])
-        with pytest.raises(SGPModelError):
-            distance_signomial([0.1, 0.2], var_ids=[0])
 
     def test_out_of_range_ids_rejected(self):
         with pytest.raises(SGPModelError):

@@ -91,9 +91,7 @@ class TestPathPolynomial:
             fig1_aug.graph, "q", "a3", variables, max_length=5, restart_prob=0.15
         )
         x = np.asarray(variables.initial_values(fig1_aug.graph))
-        assert polynomial.compile(len(variables)).value(x) == pytest.approx(
-            fig1_expected_a3
-        )
+        assert polynomial.evaluate(x) == pytest.approx(fig1_expected_a3)
 
     def test_polynomial_is_posynomial(self, fig1_aug):
         variables = EdgeVariableIndex()
@@ -121,9 +119,7 @@ class TestPathPolynomial:
             fig1_aug.graph, "q", "a3", variables, max_length=4
         )
         x = np.asarray(variables.initial_values(fig1_aug.graph))
-        assert combined["a3"].compile(len(variables)).value(x) == pytest.approx(
-            single.compile(len(variables)).value(x)
-        )
+        assert combined["a3"].evaluate(x) == pytest.approx(single.evaluate(x))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -149,10 +145,7 @@ class TestPathPolynomial:
             aug.graph, "q", "a", variables, max_length=max_length
         )
         x = np.asarray(variables.initial_values(aug.graph))
-        symbolic = (
-            polynomial.compile(len(variables)).value(x) if len(variables) else
-            polynomial.evaluate({})
-        )
+        symbolic = polynomial.evaluate(x)
         numeric = inverse_pdistance(aug.graph, "q", ["a"], max_length=max_length)["a"]
         assert symbolic == pytest.approx(numeric, rel=1e-10, abs=1e-12)
 
@@ -163,9 +156,8 @@ class TestPathPolynomial:
             variables, fig1_aug.graph.edge_keys(), fig1_aug.is_kg_edge
         )
         polynomial = path_polynomial(fig1_aug.graph, "q", "a3", variables)
-        compiled = polynomial.compile(len(variables))
 
         fig1_aug.set_kg_weight("SendMessage", "Outlook", 0.45)
         x = np.asarray(variables.initial_values(fig1_aug.graph))
         numeric = inverse_pdistance(fig1_aug.graph, "q", ["a3"])["a3"]
-        assert compiled.value(x) == pytest.approx(numeric, rel=1e-10)
+        assert polynomial.evaluate(x) == pytest.approx(numeric, rel=1e-10)

@@ -1,21 +1,14 @@
-"""Unit tests for the SGP problem container and solvers."""
+"""Unit tests for the SGP problem container and solver."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SGPModelError, SGPSolverError
+from repro.errors import SGPModelError
+from repro.optimize import objectives
 from repro.optimize.encoder import encode_votes
-from repro.optimize.objectives import distance_signomial
-from repro.sgp import (
-    SGPProblem,
-    Signomial,
-    SmoothObjective,
-    solve_by_condensation,
-    solve_sgp,
-)
-from repro.sgp.condensation import condense_posynomial, split_signomial
+from repro.sgp import SGPProblem, Signomial, SmoothObjective, solve_sgp
 from repro.sgp.solver import MAX_ROUNDS
 from repro.votes import Vote
 
@@ -24,13 +17,8 @@ from tests.test_optimize_properties import random_workload
 
 
 def distance_objective(x0):
-    """Eq. 12: sum of squared deviations from x0, as a signomial."""
-    objective = Signomial()
-    for var, value in enumerate(x0):
-        objective.add_term(1.0, {var: 2.0})
-        objective.add_term(-2.0 * value, {var: 1.0})
-        objective.add_term(value * value, {})
-    return objective
+    """Eq. 12: sum of squared deviations from x0 over every variable."""
+    return objectives.distance_objective(x0, len(x0))
 
 
 def simple_problem():
@@ -89,6 +77,8 @@ class TestSGPProblem:
         problem = SGPProblem([0.5])
         with pytest.raises(SGPModelError):
             problem.set_objective("not an objective")
+        with pytest.raises(SGPModelError):  # objectives are smooth callables
+            problem.set_objective(Signomial.variable(0))
 
     def test_constraint_values_and_satisfaction(self):
         problem = simple_problem()
@@ -131,13 +121,6 @@ class TestSGPProblem:
 
 
 class TestSmoothObjective:
-    def test_from_signomial(self):
-        sig = distance_objective([0.5])
-        objective = SmoothObjective.from_signomial(sig, 1)
-        value, grad = objective.value_and_grad(np.array([0.7]))
-        assert value == pytest.approx(0.04)
-        assert grad[0] == pytest.approx(2 * 0.2)
-
     def test_weighted_sum(self):
         a = SmoothObjective(lambda x: (float(x[0]), np.array([1.0])))
         b = SmoothObjective(lambda x: (float(x[0] ** 2), np.array([2.0 * x[0]])))
@@ -244,9 +227,9 @@ def single_vote_program(seed):
         return None
     if not encoded.problem.constraints:
         return None
-    encoded.problem.set_objective(
-        distance_signomial(encoded.problem.x0[: encoded.num_edge_vars])
-    )
+    encoded.problem.set_objective(objectives.distance_objective(
+        encoded.problem.x0[: encoded.num_edge_vars], encoded.problem.num_vars
+    ))
     return encoded.problem
 
 
@@ -284,49 +267,3 @@ class TestAgainstSLSQP:
         assert reference.all_satisfied and solution.all_satisfied
         assert solution.objective_value <= reference.objective_value * (1.0 + 1e-3)
 
-
-class TestCondensation:
-    def test_split_signomial(self):
-        sig = Signomial.from_terms([(2.0, {0: 1}), (-3.0, {1: 2}), (1.0, {})])
-        p, q = split_signomial(sig)
-        assert p.is_posynomial() and q.is_posynomial()
-        x = {0: 0.5, 1: 0.5}
-        assert p.evaluate(x) - q.evaluate(x) == pytest.approx(sig.evaluate(x))
-
-    def test_condense_touches_at_point(self):
-        posy = Signomial.from_terms([(1.0, {0: 1}), (2.0, {0: 2})])
-        x = np.array([0.7])
-        condensed = condense_posynomial(posy, x)
-        assert condensed.num_terms == 1
-        assert condensed.evaluate(x) == pytest.approx(posy.evaluate(x))
-
-    def test_condense_is_lower_bound(self):
-        posy = Signomial.from_terms([(1.0, {0: 1}), (2.0, {0: 2})])
-        condensed = condense_posynomial(posy, np.array([0.7]))
-        for value in (0.1, 0.3, 0.9, 1.5):
-            point = np.array([value])
-            assert condensed.evaluate(point) <= posy.evaluate(point) + 1e-12
-
-    def test_condense_empty_rejected(self):
-        with pytest.raises(SGPSolverError):
-            condense_posynomial(Signomial(), np.array([1.0]))
-
-    def test_solves_simple_problem(self):
-        solution = solve_by_condensation(simple_problem())
-        assert solution.all_satisfied
-        assert solution.x[0] - solution.x[1] >= 0.05 - 1e-6
-        # Condensation is conservative but should land near the optimum.
-        assert solution.objective_value <= 0.1
-
-    def test_requires_signomial_objective(self):
-        problem = simple_problem()
-        problem.set_objective(
-            SmoothObjective(lambda x: (float(x.sum()), np.ones_like(x)))
-        )
-        with pytest.raises(SGPSolverError):
-            solve_by_condensation(problem)
-
-    def test_agrees_with_slsqp(self):
-        by_condensation = solve_by_condensation(simple_problem())
-        by_slsqp = solve_sgp_slsqp(simple_problem())
-        assert by_condensation.x == pytest.approx(by_slsqp.x, abs=0.02)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SGPModelError
-from repro.sgp import Signomial
+from repro.sgp import SGPProblem, Signomial
 
 
 def make_signomial():
@@ -60,10 +60,6 @@ class TestInspection:
     def test_posynomial_detection(self):
         assert Signomial.from_terms([(1.0, {0: 1}), (2.0, {1: 2})]).is_posynomial()
         assert not make_signomial().is_posynomial()
-
-    def test_max_degree(self):
-        assert make_signomial().max_degree() == 3.0
-        assert Signomial.constant(1.0).max_degree() == 0.0
 
     def test_constant_value_raises_for_nonconstant(self):
         with pytest.raises(SGPModelError):
@@ -132,36 +128,50 @@ class TestEvaluation:
         assert grad[1] == pytest.approx(2 * 4.0 - 3.0)  # 2 x0^2 - 3
 
 
+def compiled(sig, num_vars):
+    """``sig`` as the one constraint of a program over ``num_vars``
+    variables, in the stacked form the solver evaluates."""
+    problem = SGPProblem(np.full(num_vars, 0.5))
+    problem.add_constraint(sig)
+    return problem.compile()
+
+
+def value_and_grad(stacked, x):
+    """The one constraint's value and dense gradient at ``x``."""
+    values, terms = stacked.values(x)
+    return float(values[0]), stacked.weighted_grad(x, terms, np.ones(1))
+
+
 class TestCompiled:
     def test_value_matches_exact(self):
         sig = make_signomial()
-        compiled = sig.compile(2)
         x = np.array([1.3, 0.7])
-        assert compiled.value(x) == pytest.approx(sig.evaluate(x))
+        value, _ = value_and_grad(compiled(sig, 2), x)
+        assert value == pytest.approx(sig.evaluate(x))
 
     def test_grad_matches_exact(self):
         sig = make_signomial()
-        compiled = sig.compile(2)
         x = np.array([1.3, 0.7])
-        _, grad = compiled.value_and_grad(x)
+        _, grad = value_and_grad(compiled(sig, 2), x)
         exact = sig.gradient(x)
         assert grad[0] == pytest.approx(exact[0])
         assert grad[1] == pytest.approx(exact[1])
 
     def test_empty_signomial(self):
-        compiled = Signomial().compile(3)
-        x = np.ones(3)
-        value, grad = compiled.value_and_grad(x)
+        value, grad = value_and_grad(compiled(Signomial(), 3), np.ones(3))
         assert value == 0.0
         assert np.all(grad == 0.0)
 
     def test_too_few_vars_rejected(self):
         with pytest.raises(SGPModelError):
-            Signomial.variable(5).compile(3)
+            compiled(Signomial.variable(5), 3)
 
     def test_unused_extra_vars_ok(self):
-        compiled = Signomial.variable(0).compile(10)
-        assert compiled.value(np.full(10, 2.0)) == 2.0
+        value, grad = value_and_grad(
+            compiled(Signomial.variable(0), 10), np.full(10, 2.0)
+        )
+        assert value == 2.0
+        assert grad[0] == 1.0 and not grad[1:].any()
 
     @given(
         coeffs=st.lists(
@@ -174,7 +184,7 @@ class TestCompiled:
     )
     @settings(max_examples=40, deadline=None)
     def test_property_compiled_matches_exact(self, coeffs, x, data):
-        """Compiled (log-space) evaluation equals exact dict evaluation."""
+        """Stacked (log-space) evaluation equals exact dict evaluation."""
         terms = []
         for coeff in coeffs:
             exponents = {
@@ -183,9 +193,8 @@ class TestCompiled:
             }
             terms.append((coeff, exponents))
         sig = Signomial.from_terms(terms)
-        compiled = sig.compile(3)
         point = np.asarray(x)
-        value, grad = compiled.value_and_grad(point)
+        value, grad = value_and_grad(compiled(sig, 3), point)
         assert value == pytest.approx(sig.evaluate(point), rel=1e-9, abs=1e-9)
         exact_grad = sig.gradient(point)
         for var in range(3):
@@ -197,15 +206,15 @@ class TestCompiled:
     @settings(max_examples=30, deadline=None)
     def test_property_finite_difference_gradient(self, x):
         """Analytic gradient agrees with central finite differences."""
-        sig = make_signomial()
-        compiled = sig.compile(2)
+        stacked = compiled(make_signomial(), 2)
         point = np.asarray(x)
-        _, grad = compiled.value_and_grad(point)
+        _, grad = value_and_grad(stacked, point)
         eps = 1e-6
         for var in range(2):
             shift = np.zeros(2)
             shift[var] = eps
-            numeric = (compiled.value(point + shift) - compiled.value(point - shift)) / (
-                2 * eps
-            )
+            numeric = (
+                value_and_grad(stacked, point + shift)[0]
+                - value_and_grad(stacked, point - shift)[0]
+            ) / (2 * eps)
             assert grad[var] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
